@@ -3,8 +3,9 @@
 # sweep, the full test suite under the race detector, the allocation
 # gate for the simulation hot paths (run without -race, which would
 # perturb the counts), a short hot-path benchmark smoke so ns/op
-# regressions fail fast, and a one-iteration benchmark pass (which also
-# regenerates the paper's tables and figures once and exercises the
+# regressions fail fast, a few seconds of fuzzing of the model codec,
+# the CLI determinism smokes, and a one-iteration benchmark pass (which
+# also regenerates the paper's tables and figures once and exercises the
 # attack and architecture-fingerprinting and topology-recovery stages at
 # both worker counts via BenchmarkAttackStage, BenchmarkArchIDStage and
 # BenchmarkTopoStage).
@@ -17,7 +18,7 @@ BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
 BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
 
-.PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke ci golden
+.PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fuzzsmoke fabricsmoke batchsmoke streamsmoke obssmoke ci golden
 
 all: build
 
@@ -68,19 +69,33 @@ allocgate:
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAccess$$|BenchmarkClassifyMNIST$$' -benchtime=100x .
 
+# Fuzz smoke: a few seconds of coverage-guided fuzzing of the model
+# codec, whose bytes cross the process boundary inside fabric specs.
+# LoadModel must never panic, and every model it accepts must re-save to
+# a canonical form. Minimization is capped so a new input's shrinking
+# (the seed is a whole saved MNIST model) cannot eat the time budget.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadModel$$' -fuzztime 5s -fuzzminimizetime 100x -parallel 2 ./internal/nn
+
 # Multi-process determinism smoke for the distributed audit fabric: the
-# same campaign is run through the CLI at -processes 1 and -processes 2
-# and the raw distribution CSVs must be byte-identical. (The fabric's
-# full fault-injection suite runs under -race as part of `race`.)
+# same campaign is run through the CLI in-process and at -processes 1
+# and -processes 2, and the raw distribution CSVs must be byte-identical.
+# Workers run the coordinator's shipped model, so the in-process
+# comparison catches a loaded model that drifted from the trained one.
+# (The fabric's full fault-injection suite runs under -race as part of
+# `race`.)
 fabricsmoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	$(GO) build -o $$tmp/shardworker ./cmd/shardworker; \
+	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
+		-processes 0 -csv $$tmp/p0.csv >/dev/null; \
 	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
 		-processes 1 -worker-bin $$tmp/shardworker -csv $$tmp/p1.csv >/dev/null; \
 	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
 		-processes 2 -worker-bin $$tmp/shardworker -csv $$tmp/p2.csv >/dev/null; \
 	cmp $$tmp/p1.csv $$tmp/p2.csv; \
-	echo "fabricsmoke: processes=1 and processes=2 distributions are byte-identical"
+	cmp $$tmp/p0.csv $$tmp/p2.csv; \
+	echo "fabricsmoke: in-process, processes=1 and processes=2 distributions are byte-identical"
 
 # Batched-collection determinism smoke: the same campaign is run through
 # the CLI at -batch 1 and -batch 8 and the raw distribution CSVs must be
@@ -132,4 +147,4 @@ obssmoke:
 golden:
 	$(GO) test -run 'TestGoldenReport|TestAttackGoldenReport|TestArchIDGoldenReport|TestTopoGoldenReport|TestGoldenMonitor' -update .
 
-ci: vet build lint race allocgate benchsmoke fabricsmoke batchsmoke streamsmoke obssmoke bench
+ci: vet build lint race allocgate benchsmoke fuzzsmoke fabricsmoke batchsmoke streamsmoke obssmoke bench

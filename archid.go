@@ -134,9 +134,13 @@ func (s *Scenario) ArchIDGrouped(ctx context.Context, level DefenseLevel, cfg Ar
 			if err != nil {
 				return nil, err
 			}
+			scen, err := s.spec()
+			if err != nil {
+				return nil, err
+			}
 			spec := WorkerSpec{
 				Stage:       StageArchID,
-				Scenario:    s.spec(),
+				Scenario:    scen,
 				Level:       level.String(),
 				Events:      eventNames(events[lo:hi]),
 				Session:     g,

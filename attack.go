@@ -173,9 +173,13 @@ func (s *Scenario) AttackGrouped(ctx context.Context, level DefenseLevel, cfg At
 			if hi > len(cfg.Events) {
 				hi = len(cfg.Events)
 			}
+			scen, err := s.spec()
+			if err != nil {
+				return nil, err
+			}
 			spec := WorkerSpec{
 				Stage:        StageAttack,
-				Scenario:     s.spec(),
+				Scenario:     scen,
 				Level:        level.String(),
 				Events:       eventNames(cfg.Events[lo:hi]),
 				Session:      g,

@@ -294,6 +294,9 @@ func validateRequest(req CampaignRequest) error {
 	if req.Scenario.Dataset == "" {
 		return fmt.Errorf("campaign needs a scenario dataset")
 	}
+	if len(req.Scenario.Model) > 0 {
+		return fmt.Errorf("scenario.model is not accepted: the server trains the victim from the scenario's seeds")
+	}
 	return nil
 }
 

@@ -169,6 +169,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"unknown field", `{"stage":"report","bogus":1}`},
 		{"unknown stage", `{"stage":"exfiltrate","scenario":{"dataset":"mnist"}}`},
 		{"missing dataset", `{"stage":"report","scenario":{}}`},
+		{"shipped model", `{"stage":"report","scenario":{"dataset":"mnist","model":"AAAA"}}`},
 	}
 	for _, tc := range cases {
 		resp := postCampaign(t, ts, tc.body)

@@ -2,9 +2,10 @@
 // fabric. A coordinator (any repro campaign with Processes ≥ 1) launches
 // it, sends the campaign spec in an init frame and then streams shard
 // plans; the worker rebuilds the full campaign state from the spec —
-// every construction step is seeded, so the rebuild is bit-identical to
-// the coordinator's — and answers each plan with the shard's canonical
-// profile payload and digest.
+// it loads the coordinator's trained network from the spec's model
+// bytes and redeploys everything else from seeds, so the rebuild is
+// bit-identical to the coordinator's — and answers each plan with the
+// shard's canonical profile payload and digest.
 //
 // Usage:
 //

@@ -5,16 +5,23 @@ package repro
 // runner construction, and the coordinator-side collection helper every
 // stage shares.
 //
-// The spec is deliberately tiny — dataset, seeds and budgets, never
-// data. A shardworker process rebuilds the entire campaign (synthetic
-// dataset, trained network, victims, envelope) from the spec alone;
-// because every construction step is seeded, the rebuilt state is
-// bit-identical to the coordinator's, and a shard measured in another
-// process returns the exact bytes the in-process pipeline would have
-// produced. That is the whole determinism argument: processes=N only
-// changes *where* shards run, never *what* they observe.
+// The spec is small: dataset, seeds and budgets, plus the coordinator's
+// trained network as SaveModel bytes. A shardworker regenerates the
+// synthetic dataset and redeploys the victims and envelope from the
+// seeds, exactly as the coordinator did, but loads the shipped weights
+// instead of training its own copy, so a worker's start-up costs no
+// training at all. A spec without model bytes still rebuilds the network
+// by seeded training, which yields the same bits at a higher price.
+// Either way the rebuilt state is bit-identical to the coordinator's,
+// and a shard measured in another process returns the exact bytes the
+// in-process pipeline would have produced. That is the whole determinism
+// argument: processes=N only changes *where* shards run, never *what*
+// they observe. Because the model bytes sit inside the digested spec,
+// a campaign digest (and so its journal) binds to the exact weights that
+// ran.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -25,6 +32,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/hpc"
 	"repro/internal/march"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
@@ -59,9 +67,10 @@ func (fc FabricConfig) workerBin() (string, error) {
 	return "", fmt.Errorf("repro: the fabric needs a shardworker binary (FabricConfig.WorkerBin or $REPRO_SHARDWORKER)")
 }
 
-// ScenarioSpec is the wire form of ScenarioConfig: everything a worker
-// process needs to rebuild the scenario — dataset generation, training
-// and deployment are all seeded, so the rebuild is bit-identical.
+// ScenarioSpec is the wire form of ScenarioConfig plus the trained
+// network: everything a worker process needs to rebuild the scenario.
+// Dataset generation and deployment are seeded, so their rebuild is
+// bit-identical; the network arrives as Model bytes.
 type ScenarioSpec struct {
 	Dataset        Dataset `json:"dataset"`
 	Seed           int64   `json:"seed"`
@@ -72,10 +81,17 @@ type ScenarioSpec struct {
 	Defense        string  `json:"defense"`
 	DisableRuntime bool    `json:"disable_runtime,omitempty"`
 	DisableNoise   bool    `json:"disable_noise,omitempty"`
+	// Model is the trained network in nn.SaveModel form. Empty makes the
+	// worker train its own copy from the seeds above.
+	Model []byte `json:"model,omitempty"`
 }
 
-// spec captures the scenario's rebuild recipe.
-func (s *Scenario) spec() ScenarioSpec {
+// spec captures the scenario's rebuild recipe and its trained weights.
+func (s *Scenario) spec() (ScenarioSpec, error) {
+	var model bytes.Buffer
+	if err := nn.SaveModel(&model, s.Arch, s.Net); err != nil {
+		return ScenarioSpec{}, err
+	}
 	c := s.Config
 	return ScenarioSpec{
 		Dataset:        c.Dataset,
@@ -87,7 +103,8 @@ func (s *Scenario) spec() ScenarioSpec {
 		Defense:        c.Defense.String(),
 		DisableRuntime: c.DisableRuntime,
 		DisableNoise:   c.DisableNoise,
-	}
+		Model:          model.Bytes(),
+	}, nil
 }
 
 func (sp ScenarioSpec) config() (ScenarioConfig, error) {
@@ -106,6 +123,35 @@ func (sp ScenarioSpec) config() (ScenarioConfig, error) {
 		DisableRuntime: sp.DisableRuntime,
 		DisableNoise:   sp.DisableNoise,
 	}, nil
+}
+
+// build rebuilds the scenario on a worker: around the shipped model when
+// the spec carries one, otherwise by training from the spec's seeds. The
+// model bytes are untrusted input; a model whose architecture is not the
+// one the dataset deploys is refused.
+func (sp ScenarioSpec) build() (*Scenario, error) {
+	cfg, err := sp.config()
+	if err != nil {
+		return nil, err
+	}
+	if len(sp.Model) == 0 {
+		return NewScenario(cfg)
+	}
+	arch, net, err := nn.LoadModel(bytes.NewReader(sp.Model))
+	if err != nil {
+		return nil, fmt.Errorf("repro: loading the shipped model: %w", err)
+	}
+	want, _, err := datasetArch(cfg.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	if arch != want {
+		if len(arch.Name) > 64 {
+			arch.Name = arch.Name[:64] + "..."
+		}
+		return nil, fmt.Errorf("repro: shipped model is %+v, but the %s dataset deploys %+v", arch, cfg.Dataset, want)
+	}
+	return newScenario(cfg, net)
 }
 
 // Fabric stage names, the WorkerSpec.Stage values. Report and attack
@@ -197,8 +243,9 @@ func parseEventNames(names []string) ([]march.Event, error) {
 
 // NewWorkerRunner is the fabric.BuildRunner of cmd/shardworker: it
 // decodes a WorkerSpec and rebuilds that session's campaign state —
-// scenario, victims, pipeline — returning the plan executor the serve
-// loop answers shard frames with.
+// scenario (around the shipped model, when there is one), victims,
+// pipeline — returning the plan executor the serve loop answers shard
+// frames with.
 func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	var spec WorkerSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
@@ -215,11 +262,7 @@ func NewWorkerRunner(ctx context.Context, raw []byte) (fabric.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	scfg, err := spec.Scenario.config()
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewScenario(scfg)
+	s, err := spec.Scenario.build()
 	if err != nil {
 		return nil, fmt.Errorf("repro: rebuilding scenario: %w", err)
 	}

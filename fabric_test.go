@@ -15,13 +15,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/nn"
+	"repro/internal/pipeline"
+	"repro/internal/tensor"
 )
 
 var (
@@ -357,5 +365,206 @@ func TestFabricNeedsWorkerBinary(t *testing.T) {
 	_, err := attackScenario(t).Evaluate(smallEvalConfig(1, FabricConfig{}))
 	if err == nil || !strings.Contains(err.Error(), "REPRO_SHARDWORKER") {
 		t.Fatalf("missing worker binary not reported: %v", err)
+	}
+}
+
+// forbidTraining makes victim training and the accuracy pass fail for
+// the rest of the test and returns how many times either was reached.
+func forbidTraining(t *testing.T) *int {
+	t.Helper()
+	calls := 0
+	prevTrain, prevAcc := trainNet, netAccuracy
+	trainNet = func(*nn.Network, []*tensor.Tensor, []int, nn.TrainConfig) error {
+		calls++
+		return errors.New("nn.Train called")
+	}
+	netAccuracy = func(*nn.Network, []*tensor.Tensor, []int) (float64, error) {
+		calls++
+		return 0, errors.New("nn.Accuracy called")
+	}
+	t.Cleanup(func() { trainNet, netAccuracy = prevTrain, prevAcc })
+	return &calls
+}
+
+// reportSpec is the worker spec of the small report campaign's single
+// collection session, as Evaluate sends it.
+func reportSpec(t *testing.T, s *Scenario) WorkerSpec {
+	t.Helper()
+	scen, err := s.spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallEvalConfig(1, FabricConfig{})
+	return WorkerSpec{
+		Proto:        specProto,
+		Stage:        StageReport,
+		Scenario:     scen,
+		Level:        s.Config.Defense.String(),
+		Events:       eventNames([]Event{EvCacheMisses, EvBranches}),
+		Classes:      cfg.Classes,
+		RunsPerClass: cfg.RunsPerClass,
+		RootSeed:     cfg.Seed,
+		ShardRuns:    cfg.ShardRuns,
+	}
+}
+
+// shardZero returns the first wire plan of spec's campaign on s and the
+// canonical payload the in-process pipeline measures for it.
+func shardZero(t *testing.T, s *Scenario, spec WorkerSpec) (pipeline.Plan, []byte) {
+	t.Helper()
+	events, err := parseEventNames(spec.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := core.NewEvaluator(core.Config{Events: events, RunsPerClass: spec.RunsPerClass})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(ev, pipeline.Config{Workers: 1, RootSeed: spec.RootSeed, ShardRuns: spec.ShardRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools, err := s.ClassPools(spec.Classes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := p.WirePlans(pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := s.TargetFactory()
+	exec, err := p.Executor(func(_ int, seed int64) (core.Target, error) { return factory(seed) }, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, err := exec.Execute(context.Background(), plans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := pipeline.EncodeProfiles(profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plans[0], payload
+}
+
+// workerPayload builds a worker runner from spec, as cmd/shardworker
+// does, and returns its canonical payload for plan.
+func workerPayload(t *testing.T, spec WorkerSpec, plan pipeline.Plan) []byte {
+	t.Helper()
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewWorkerRunner(context.Background(), raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, err := runner.Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := pipeline.EncodeProfiles(profs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// withWeight returns spec with one weight of its shipped model changed.
+func withWeight(t *testing.T, spec WorkerSpec, v float32) WorkerSpec {
+	t.Helper()
+	arch, net, err := nn.LoadModel(bytes.NewReader(spec.Scenario.Model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Params()[0].Value.Data[0] = v
+	var buf bytes.Buffer
+	if err := nn.SaveModel(&buf, arch, net); err != nil {
+		t.Fatal(err)
+	}
+	spec.Scenario.Model = buf.Bytes()
+	return spec
+}
+
+// TestWorkerRunsShippedModelWithoutTraining: a worker given the
+// coordinator's model reproduces the in-process shard-0 payload byte for
+// byte without ever reaching nn.Train or nn.Accuracy, while a model-less
+// spec still rebuilds by training.
+func TestWorkerRunsShippedModelWithoutTraining(t *testing.T) {
+	s := attackScenario(t)
+	spec := reportSpec(t, s)
+	plan, want := shardZero(t, s, spec)
+	calls := forbidTraining(t)
+	if got := workerPayload(t, spec, plan); !bytes.Equal(got, want) {
+		t.Fatalf("worker on the shipped model returned a different shard-0 payload:\n%s\nwant\n%s", got, want)
+	}
+	if *calls != 0 {
+		t.Fatalf("worker with a shipped model reached training %d times", *calls)
+	}
+
+	spec.Scenario.Model = nil
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWorkerRunner(context.Background(), raw); err == nil || !strings.Contains(err.Error(), "nn.Train called") {
+		t.Fatalf("model-less spec did not rebuild by training: %v", err)
+	}
+}
+
+// TestWorkerShippedWeightChangesPayload proves the shipped weights, not
+// a retrain from the spec's seeds, are what a worker runs: changing one
+// weight changes the shard payload.
+func TestWorkerShippedWeightChangesPayload(t *testing.T) {
+	s := attackScenario(t)
+	spec := reportSpec(t, s)
+	plan, want := shardZero(t, s, spec)
+	w := s.Net.Params()[0].Value.Data[0]
+	if got := workerPayload(t, withWeight(t, spec, -4*w), plan); bytes.Equal(got, want) {
+		t.Fatal("changing a shipped weight left the shard payload unchanged")
+	}
+}
+
+// TestWorkerSpecDigestBindsWeights: two builds of one scenario config
+// give byte-identical spec JSON, so a campaign digest (and its journal)
+// is stable across coordinator runs, and changing one weight changes
+// the digest.
+func TestWorkerSpecDigestBindsWeights(t *testing.T) {
+	s2, err := NewScenario(attackScenario(t).Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := reportSpec(t, attackScenario(t)), reportSpec(t, s2)
+	rawA, rawB := mustJSON(t, a), mustJSON(t, b)
+	if !bytes.Equal(rawA, rawB) {
+		t.Fatal("two builds of one scenario config give different spec JSON")
+	}
+	w := s2.Net.Params()[0].Value.Data[0]
+	if fabric.CampaignDigest(mustJSON(t, withWeight(t, b, w+1))) == fabric.CampaignDigest(rawA) {
+		t.Fatal("changing one shipped weight left the campaign digest unchanged")
+	}
+}
+
+// TestWorkerRejectsModelForOtherDataset: a CIFAR model in an MNIST spec
+// fails the worker's start-up with an error naming both architectures.
+func TestWorkerRejectsModelForOtherDataset(t *testing.T) {
+	spec := reportSpec(t, attackScenario(t))
+	net, err := nn.Build(nn.CIFARArch(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := nn.SaveModel(&buf, nn.CIFARArch(), net); err != nil {
+		t.Fatal(err)
+	}
+	spec.Scenario.Model = buf.Bytes()
+	_, err = NewWorkerRunner(context.Background(), mustJSON(t, spec))
+	if err == nil || !strings.Contains(err.Error(), "cifar-cnn") || !strings.Contains(err.Error(), "mnist-cnn") {
+		t.Fatalf("mismatched model not rejected with both architectures named: %v", err)
+	}
+	spec.Scenario.Model = []byte("not a model")
+	if _, err := NewWorkerRunner(context.Background(), mustJSON(t, spec)); err == nil || !strings.Contains(err.Error(), "shipped model") {
+		t.Fatalf("corrupt model not rejected: %v", err)
 	}
 }

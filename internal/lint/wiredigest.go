@@ -19,31 +19,50 @@ package lint
 //
 // Named map types (hpc.Profile) and structs are fine: they are schema.
 // The canonical wire layer itself (repro/internal/pipeline) is exempt.
+//
+// encoding/gob, unlike encoding/json, does not sort map keys: it walks
+// them in Go's randomized iteration order, so the same value encodes to
+// different bytes from run to run. Every package is therefore flagged
+// for (*gob.Encoder).Encode of a value whose type contains a map at any
+// depth — through struct fields, pointers, slices and arrays, named map
+// types included.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// Wiredigest is the ad-hoc JSON wire-format analyzer.
+// Wiredigest is the ad-hoc wire-format analyzer.
 var Wiredigest = &Analyzer{
 	Name: "wiredigest",
-	Doc:  "flags JSON encoding of bare map types outside the canonical pipeline wire layer",
+	Doc:  "flags JSON encoding of bare map types outside the canonical pipeline wire layer, and gob encoding of any map",
 	Run:  runWiredigest,
 }
 
-// wireLayerPkg is the canonical encode/decode layer, exempt by design.
+// wireLayerPkg is the canonical JSON encode/decode layer, exempt by
+// design from the JSON check.
 const wireLayerPkg = "repro/internal/pipeline"
 
 func runWiredigest(pass *Pass) {
-	if !pass.ExplicitDir && pass.Path == wireLayerPkg {
-		return
+	checkJSON := pass.ExplicitDir || pass.Path != wireLayerPkg
+	var sinks map[types.Object][]int
+	if checkJSON {
+		sinks = encodeSinks(pass)
 	}
-	sinks := encodeSinks(pass)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
+				return true
+			}
+			if isGobEncodeCall(pass.Info, call) && len(call.Args) == 1 {
+				if t := pass.Info.TypeOf(call.Args[0]); t != nil && containsMap(t, map[types.Type]bool{}) {
+					pass.Reportf(call.Args[0].Pos(), "%s has a map in its type and is gob encoded: gob walks maps in random order, so the bytes differ run to run (store a slice in a fixed order)",
+						exprString(pass.Fset, call.Args[0]))
+				}
+				return true
+			}
+			if !checkJSON {
 				return true
 			}
 			for _, idx := range encodeArgIndices(pass, call, sinks) {
@@ -91,6 +110,46 @@ func isJSONEncodeCall(info *types.Info, call *ast.CallExpr) bool {
 		return f.Name() == "Marshal" || f.Name() == "MarshalIndent"
 	}
 	return f.Name() == "Encode"
+}
+
+// isGobEncodeCall matches (*gob.Encoder).Encode.
+func isGobEncodeCall(info *types.Info, call *ast.CallExpr) bool {
+	f := calleeFunc(info, call)
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "encoding/gob" || f.Name() != "Encode" {
+		return false
+	}
+	sig, ok := f.Type().(*types.Signature)
+	return ok && sig.Recv() != nil
+}
+
+// containsMap reports whether t has a map anywhere in its structure,
+// named or not. seen breaks cycles through recursive named types.
+func containsMap(t types.Type, seen map[types.Type]bool) bool {
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch u := t.(type) {
+	case *types.Map:
+		return true
+	case *types.Named:
+		return containsMap(u.Underlying(), seen)
+	case *types.Alias:
+		return containsMap(types.Unalias(u), seen)
+	case *types.Pointer:
+		return containsMap(u.Elem(), seen)
+	case *types.Slice:
+		return containsMap(u.Elem(), seen)
+	case *types.Array:
+		return containsMap(u.Elem(), seen)
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if containsMap(u.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // encodeSinks finds package-level functions that forward a parameter into

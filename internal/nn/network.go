@@ -287,17 +287,63 @@ func Accuracy(n *Network, inputs []*tensor.Tensor, labels []int) (float64, error
 }
 
 // modelFile is the gob wire format for a trained network. Only weights and
-// the architecture are persisted; optimizer state is not.
+// the architecture are persisted; optimizer state is not. The tensors are
+// a slice in Params() order, never a map: gob walks maps in random order,
+// and model bytes travel inside digested fabric specs, so the encoding
+// must be a pure function of the weights.
 type modelFile struct {
 	Arch    Arch
-	Tensors map[string][]float32
+	Tensors []modelTensor
 }
 
-// SaveModel serializes the network (built from arch) to w.
+// modelTensor is one parameter tensor; the name guards against loading
+// a file into a network whose layers are laid out differently.
+type modelTensor struct {
+	Name string
+	Data []float32
+}
+
+// Bounds on a decoded architecture. Model bytes cross process boundaries,
+// so a hostile header must fail validation before Build allocates: both
+// reference architectures (about 5k and 17k weights) sit far below them.
+const (
+	maxArchDim     = 1 << 12
+	maxModelParams = 1 << 22
+)
+
+// validate checks that the architecture builds and stays within the
+// codec's bounds, without allocating any of it.
+func (a Arch) validate() error {
+	for _, d := range []struct {
+		name string
+		v    int
+	}{{"InH", a.InH}, {"InW", a.InW}, {"InC", a.InC}, {"Conv1", a.Conv1}, {"Conv2", a.Conv2}, {"Kernel", a.Kernel}, {"Classes", a.Classes}} {
+		if d.v <= 0 || d.v > maxArchDim {
+			return fmt.Errorf("nn: architecture %s = %d outside [1, %d]", d.name, d.v, maxArchDim)
+		}
+	}
+	// conv (valid, stride 1) then 2×2 pool, twice; every stage must keep
+	// a non-empty output.
+	h1, w1 := (a.InH-a.Kernel+1)/2, (a.InW-a.Kernel+1)/2
+	h2, w2 := (h1-a.Kernel+1)/2, (w1-a.Kernel+1)/2
+	if h2 <= 0 || w2 <= 0 {
+		return fmt.Errorf("nn: architecture %dx%d input is too small for two %dx%d conv+pool blocks", a.InH, a.InW, a.Kernel, a.Kernel)
+	}
+	k2 := a.Kernel * a.Kernel
+	params := (k2*a.InC+1)*a.Conv1 + (k2*a.Conv1+1)*a.Conv2 + (h2*w2*a.Conv2+1)*a.Classes
+	if params > maxModelParams {
+		return fmt.Errorf("nn: architecture has %d parameters, above the %d limit", params, maxModelParams)
+	}
+	return nil
+}
+
+// SaveModel serializes the network (built from arch) to w. The bytes are
+// a deterministic function of arch and the weights.
 func SaveModel(w io.Writer, a Arch, n *Network) error {
-	mf := modelFile{Arch: a, Tensors: map[string][]float32{}}
-	for _, p := range n.Params() {
-		mf.Tensors[p.Name] = p.Value.Data
+	params := n.Params()
+	mf := modelFile{Arch: a, Tensors: make([]modelTensor, len(params))}
+	for i, p := range params {
+		mf.Tensors[i] = modelTensor{Name: p.Name, Data: p.Value.Data}
 	}
 	if err := gob.NewEncoder(w).Encode(&mf); err != nil {
 		return fmt.Errorf("nn: encoding model: %w", err)
@@ -305,25 +351,35 @@ func SaveModel(w io.Writer, a Arch, n *Network) error {
 	return nil
 }
 
-// LoadModel rebuilds a network from a stream written by SaveModel.
+// LoadModel rebuilds a network from a stream written by SaveModel. The
+// stream is untrusted: the architecture is validated before anything is
+// built, and the tensors must match the built network's parameters one
+// for one, in order, name and length.
 func LoadModel(r io.Reader) (Arch, *Network, error) {
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
 		return Arch{}, nil, fmt.Errorf("nn: decoding model: %w", err)
 	}
+	if err := mf.Arch.validate(); err != nil {
+		return Arch{}, nil, err
+	}
 	n, err := Build(mf.Arch, rand.New(rand.NewSource(0)))
 	if err != nil {
 		return Arch{}, nil, err
 	}
-	for _, p := range n.Params() {
-		data, ok := mf.Tensors[p.Name]
-		if !ok {
-			return Arch{}, nil, fmt.Errorf("nn: model file missing tensor %q", p.Name)
+	params := n.Params()
+	if len(mf.Tensors) != len(params) {
+		return Arch{}, nil, fmt.Errorf("nn: model file has %d tensors, want %d", len(mf.Tensors), len(params))
+	}
+	for i, p := range params {
+		t := mf.Tensors[i]
+		if t.Name != p.Name {
+			return Arch{}, nil, fmt.Errorf("nn: model tensor %d is %q, want %q", i, t.Name, p.Name)
 		}
-		if len(data) != p.Value.Len() {
-			return Arch{}, nil, fmt.Errorf("nn: tensor %q has %d values, want %d", p.Name, len(data), p.Value.Len())
+		if len(t.Data) != p.Value.Len() {
+			return Arch{}, nil, fmt.Errorf("nn: tensor %q has %d values, want %d", p.Name, len(t.Data), p.Value.Len())
 		}
-		copy(p.Value.Data, data)
+		copy(p.Value.Data, t.Data)
 	}
 	return mf.Arch, n, nil
 }

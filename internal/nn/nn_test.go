@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -376,4 +378,143 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// saveBytes is SaveModel into a fresh buffer.
+func saveBytes(t testing.TB, a Arch, n *Network) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, a, n); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSaveModelByteDeterministic pins the codec's byte stability: model
+// bytes travel inside digested fabric specs, so repeated saves of one
+// network must be identical and Save∘Load∘Save must be the identity.
+func TestSaveModelByteDeterministic(t *testing.T) {
+	arch := MNISTArch()
+	n, err := Build(arch, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := saveBytes(t, arch, n)
+	for i := 0; i < 20; i++ {
+		if got := saveBytes(t, arch, n); !bytes.Equal(got, want) {
+			t.Fatalf("save %d differs from the first save", i)
+		}
+	}
+	arch2, n2, err := LoadModel(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := saveBytes(t, arch2, n2); !bytes.Equal(got, want) {
+		t.Fatal("Save∘Load∘Save is not the identity on bytes")
+	}
+}
+
+// TestSaveLoadKeepsSameNamedLayersApart is the regression for tensors
+// keyed by layer name: with InC == Conv1 == Conv2 both conv filters are
+// named conv3x3x4.filter and have equal lengths, so a name-keyed file
+// kept only one of them and loaded it into both layers.
+func TestSaveLoadKeepsSameNamedLayersApart(t *testing.T) {
+	arch := Arch{Name: "t", InH: 12, InW: 12, InC: 4, Conv1: 4, Conv2: 4, Kernel: 3, Classes: 3}
+	n, err := Build(arch, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n2, err := LoadModel(bytes.NewReader(saveBytes(t, arch, n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := n.Params(), n2.Params()
+	for i := range p1 {
+		for j, v := range p1[i].Value.Data {
+			if p2[i].Value.Data[j] != v {
+				t.Fatalf("param %d (%s) value %d: loaded %v, saved %v", i, p1[i].Name, j, p2[i].Value.Data[j], v)
+			}
+		}
+	}
+}
+
+// encodeModelFile gob-encodes a hand-built model file, the way a hostile
+// or corrupted peer could.
+func encodeModelFile(t *testing.T, mf modelFile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&mf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadModelRejectsHostileFiles feeds LoadModel well-formed gob whose
+// contents are wrong: an architecture that would force a huge or
+// impossible build, and tensors that do not match the built network.
+func TestLoadModelRejectsHostileFiles(t *testing.T) {
+	arch := MNISTArch()
+	n, err := Build(arch, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good []modelTensor
+	for _, p := range n.Params() {
+		good = append(good, modelTensor{Name: p.Name, Data: p.Value.Data})
+	}
+	huge := arch
+	huge.InH, huge.InW, huge.Conv1, huge.Conv2 = 4000, 4000, 4000, 4000
+	swapped := append([]modelTensor(nil), good...)
+	swapped[0], swapped[2] = swapped[2], swapped[0]
+	short := append([]modelTensor(nil), good...)
+	short[1].Data = short[1].Data[:1]
+	for _, tc := range []struct {
+		name string
+		mf   modelFile
+		want string
+	}{
+		{"zero dims", modelFile{Arch: Arch{Classes: 10}}, "outside"},
+		{"negative kernel", modelFile{Arch: Arch{InH: 28, InW: 28, InC: 1, Conv1: 8, Conv2: 16, Kernel: -3, Classes: 10}}, "outside"},
+		{"oversized dim", modelFile{Arch: Arch{InH: 1 << 20, InW: 28, InC: 1, Conv1: 8, Conv2: 16, Kernel: 3, Classes: 10}}, "outside"},
+		{"too many params", modelFile{Arch: huge}, "parameters"},
+		{"input too small", modelFile{Arch: Arch{InH: 6, InW: 6, InC: 1, Conv1: 2, Conv2: 2, Kernel: 3, Classes: 2}}, "too small"},
+		{"one class", modelFile{Arch: Arch{InH: 28, InW: 28, InC: 1, Conv1: 8, Conv2: 16, Kernel: 3, Classes: 1}}, "2 classes"},
+		{"missing tensors", modelFile{Arch: arch, Tensors: good[:3]}, "has 3 tensors"},
+		{"reordered tensors", modelFile{Arch: arch, Tensors: swapped}, "want"},
+		{"short tensor", modelFile{Arch: arch, Tensors: short}, "has 1 values"},
+	} {
+		_, _, err := LoadModel(bytes.NewReader(encodeModelFile(t, tc.mf)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadModel error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, _, err := LoadModel(bytes.NewReader(encodeModelFile(t, modelFile{Arch: arch, Tensors: good}))); err != nil {
+		t.Fatalf("well-formed file rejected: %v", err)
+	}
+}
+
+// FuzzLoadModel: LoadModel never panics on arbitrary bytes, and any
+// model it accepts saves to a canonical form that reloads and re-saves
+// to the same bytes.
+func FuzzLoadModel(f *testing.F) {
+	n, err := Build(MNISTArch(), testRNG())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saveBytes(f, MNISTArch(), n))
+	f.Add([]byte("not a gob"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		arch, n, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		saved := saveBytes(t, arch, n)
+		arch2, n2, err := LoadModel(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("reloading a saved model: %v", err)
+		}
+		if !bytes.Equal(saveBytes(t, arch2, n2), saved) {
+			t.Fatal("Save∘Load∘Save is not the identity on an accepted model")
+		}
+	})
 }

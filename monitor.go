@@ -477,10 +477,14 @@ func (s *Scenario) monitorFabric(ctx context.Context, p *pipeline.Pipeline, pool
 		return false, err
 	}
 	batch := evCfg.Batch
+	scen, err := s.spec()
+	if err != nil {
+		return false, err
+	}
 	spec := WorkerSpec{
 		Proto:        specProto,
 		Stage:        StageMonitor,
-		Scenario:     s.spec(),
+		Scenario:     scen,
 		Level:        s.Config.Defense.String(),
 		Events:       eventNames(evCfg.Events),
 		Classes:      cfg.Classes,

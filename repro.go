@@ -171,7 +171,8 @@ type Scenario struct {
 	Engine *march.Engine
 	// Target is the classifier under evaluation (satisfies core.Target).
 	Target core.Target
-	// TestAccuracy of the trained model on the synthetic test split.
+	// TestAccuracy of the trained model on the synthetic test split (zero
+	// on a shardworker, which loads the model instead of training it).
 	TestAccuracy float64
 
 	// Lazily-built padded-envelope deployment state: the hypothesis-set
@@ -210,20 +211,38 @@ func (s *Scenario) deploymentEnvelope() (*defense.Envelope, int, error) {
 // NewScenario generates the dataset, trains the CNN, and deploys it
 // instrumented on a simulated core.
 func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
-	cfg = cfg.withDefaults()
-	var (
-		arch nn.Arch
-		gen  func(dataset.Config) (*dataset.Set, *dataset.Set, error)
-	)
-	switch cfg.Dataset {
+	return newScenario(cfg, nil)
+}
+
+// Victim training and its accuracy pass. They are variables only so the
+// worker tests can prove that a scenario built around a shipped model
+// reaches neither.
+var (
+	trainNet    = nn.Train
+	netAccuracy = nn.Accuracy
+)
+
+// datasetArch resolves a dataset to the architecture deployed on it and
+// the generator of its synthetic splits.
+func datasetArch(d Dataset) (nn.Arch, func(dataset.Config) (*dataset.Set, *dataset.Set, error), error) {
+	switch d {
 	case DatasetMNIST:
-		arch = nn.MNISTArch()
-		gen = dataset.MNISTLike
+		return nn.MNISTArch(), dataset.MNISTLike, nil
 	case DatasetCIFAR:
-		arch = nn.CIFARArch()
-		gen = dataset.CIFARLike
-	default:
-		return nil, fmt.Errorf("repro: unknown dataset %q (want %q or %q)", cfg.Dataset, DatasetMNIST, DatasetCIFAR)
+		return nn.CIFARArch(), dataset.CIFARLike, nil
+	}
+	return nn.Arch{}, nil, fmt.Errorf("repro: unknown dataset %q (want %q or %q)", d, DatasetMNIST, DatasetCIFAR)
+}
+
+// newScenario is NewScenario around an already-trained network: with net
+// non-nil (the coordinator's model, loaded by a shardworker) it skips
+// training and the accuracy pass, leaving TestAccuracy zero. Dataset
+// generation and deployment are the same either way.
+func newScenario(cfg ScenarioConfig, net *nn.Network) (*Scenario, error) {
+	cfg = cfg.withDefaults()
+	arch, gen, err := datasetArch(cfg.Dataset)
+	if err != nil {
+		return nil, err
 	}
 	train, test, err := gen(dataset.Config{
 		PerClassTrain: cfg.PerClassTrain,
@@ -233,27 +252,28 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := nn.Build(arch, rand.New(rand.NewSource(cfg.Seed+1)))
-	if err != nil {
-		return nil, err
-	}
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 0.05
-		if cfg.Dataset == DatasetCIFAR {
-			lr = 0.01
+	var acc float64
+	if net == nil {
+		if net, err = nn.Build(arch, rand.New(rand.NewSource(cfg.Seed+1))); err != nil {
+			return nil, err
 		}
-	}
-	err = nn.Train(net, train.Inputs(), train.Labels(), nn.TrainConfig{
-		Epochs: cfg.Epochs, BatchSize: 16, LR: lr, Momentum: 0.9, Seed: cfg.Seed + 2,
-		Progress: cfg.TrainProgress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc, err := nn.Accuracy(net, test.Inputs(), test.Labels())
-	if err != nil {
-		return nil, err
+		lr := cfg.LR
+		if lr <= 0 {
+			lr = 0.05
+			if cfg.Dataset == DatasetCIFAR {
+				lr = 0.01
+			}
+		}
+		err = trainNet(net, train.Inputs(), train.Labels(), nn.TrainConfig{
+			Epochs: cfg.Epochs, BatchSize: 16, LR: lr, Momentum: 0.9, Seed: cfg.Seed + 2,
+			Progress: cfg.TrainProgress,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if acc, err = netAccuracy(net, test.Inputs(), test.Labels()); err != nil {
+			return nil, err
+		}
 	}
 
 	var noise *march.NoiseModel
@@ -425,9 +445,13 @@ func (s *Scenario) EvaluateCtx(ctx context.Context, cfg EvalConfig) (*Report, er
 		return nil, err
 	}
 	if cfg.Processes > 0 {
+		scen, err := s.spec()
+		if err != nil {
+			return nil, err
+		}
 		spec := WorkerSpec{
 			Stage:        StageReport,
-			Scenario:     s.spec(),
+			Scenario:     scen,
 			Level:        s.Config.Defense.String(),
 			Events:       eventNames(ev.Config().Events),
 			Classes:      cfg.Classes,

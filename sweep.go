@@ -411,9 +411,13 @@ func (s *Scenario) EvaluateGrouped(ctx context.Context, level DefenseLevel, cfg 
 		}
 		var rep *core.Report
 		if cfg.Processes > 0 {
+			scen, err := s.spec()
+			if err != nil {
+				return nil, err
+			}
 			spec := WorkerSpec{
 				Stage:        StageReport,
-				Scenario:     s.spec(),
+				Scenario:     scen,
 				Level:        level.String(),
 				Events:       eventNames(events[lo:hi]),
 				Session:      g,

@@ -127,9 +127,13 @@ func (s *Scenario) TopoGrouped(ctx context.Context, level DefenseLevel, cfg Topo
 			if err != nil {
 				return nil, err
 			}
+			scen, err := s.spec()
+			if err != nil {
+				return nil, err
+			}
 			spec := WorkerSpec{
 				Stage:     StageTopo,
-				Scenario:  s.spec(),
+				Scenario:  scen,
 				Level:     level.String(),
 				Events:    eventNames(events[lo:hi]),
 				Session:   g,
