@@ -13,10 +13,10 @@
 GO ?= go
 
 # PR number stamped into the benchmark trajectory snapshot.
-BENCH_PR ?= 9
+BENCH_PR ?= 13
 BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
 # Key micro/campaign benches tracked across PRs.
-BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream
+BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream|BenchmarkTrainMNIST
 
 .PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fuzzsmoke fabricsmoke batchsmoke streamsmoke obssmoke ci golden
 

@@ -19,12 +19,14 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/hpc"
 	"repro/internal/instrument"
 	"repro/internal/march"
 	"repro/internal/march/branch"
 	"repro/internal/march/cache"
 	"repro/internal/march/mem"
+	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -754,6 +756,29 @@ func BenchmarkTensorConv2D(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTrainMNIST measures victim training, the largest part of
+// scenario construction: one epoch of nn.Train over the default MNIST
+// training split (1200 samples) at the scenario's hyperparameters, on
+// min(GOMAXPROCS, 16) workers. It reports trained samples per second.
+func BenchmarkTrainMNIST(b *testing.B) {
+	train, _, err := dataset.MNISTLike(dataset.Config{PerClassTrain: 120, PerClassTest: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs, labels := train.Inputs(), train.Labels()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net, err := nn.Build(nn.MNISTArch(), rand.New(rand.NewSource(2)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := nn.Train(net, inputs, labels, nn.TrainConfig{Epochs: 1, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(inputs))/b.Elapsed().Seconds(), "samples/s")
 }
 
 // BenchmarkMonitorStream runs the streaming leakage monitor — windowed

@@ -2,6 +2,12 @@
 // with forward and backward passes, a sequential network container, softmax
 // cross-entropy training with SGD+momentum, and gob model serialization.
 //
+// Training is data-parallel inside each minibatch: its samples are spread
+// over min(GOMAXPROCS, BatchSize) workers, each running forward and
+// backward on its own replica of the layer caches against the shared
+// weights, and the per-sample parameter gradients are then added in sample
+// order. The trained bytes are therefore independent of the worker count.
+//
 // The paper under reproduction runs a TensorFlow CNN; this package replaces
 // it with a from-scratch implementation so the instrumented side-channel
 // execution (package instrument) can walk real trained weights.
@@ -11,15 +17,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
 
 // Layer is one stage of a sequential network.
 //
-// Forward consumes the previous layer's output and caches whatever it needs
-// for Backward. Backward consumes dL/d(output) and returns dL/d(input),
-// accumulating parameter gradients internally.
+// Forward consumes the previous layer's output and caches whatever the
+// backward pass needs. The backward pass is split in two: InputGrad turns
+// dL/d(output) into dL/d(input), and a layer with parameters records its
+// parameter gradient separately (see trainable), so a training step can run
+// samples on parallel replicas and still sum their gradients in sample
+// order. Returned tensors are buffers the layer reuses: each stays valid
+// until the layer's next call of the same method.
 type Layer interface {
 	// Name returns a short identifier used in diagnostics and model files.
 	Name() string
@@ -27,17 +38,46 @@ type Layer interface {
 	OutShape() []int
 	// Forward runs the layer on one sample (no batch dimension).
 	Forward(in *tensor.Tensor) (*tensor.Tensor, error)
-	// Backward propagates the gradient; must be called after Forward.
-	Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error)
+	// InputGrad returns dL/d(input) for the sample of the last Forward.
+	InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns parameter/gradient pairs; empty for stateless layers.
 	Params() []Param
+	// replica returns a layer that shares this one's parameters and
+	// gradient tensors but owns its caches and buffers, so the two can
+	// run forward and backward on different goroutines.
+	replica() Layer
 }
+
+// trainable is a Layer with parameters. record captures one sample's
+// parameter-gradient contribution in rec without touching the shared Grad
+// tensors, so replicas may record concurrently; accumulate then adds rec
+// into the Grad tensors with exactly the float32 adds, in exactly the order,
+// of a backward pass that accumulated directly.
+type trainable interface {
+	record(gradOut *tensor.Tensor, rec *gradRecord) error
+	accumulate(rec *gradRecord)
+}
+
+// gradRecord holds one sample's parameter-gradient contribution to one
+// layer between the parallel backward pass and the serial replay. What the
+// two vectors hold is the layer's business: a conv layer keeps its filter
+// gradient and its gradOut rows, a dense layer its input and gradOut.
+type gradRecord struct{ x, g []float32 }
 
 // Param couples a parameter tensor with its accumulated gradient.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+}
+
+// like returns buf when it has t's shape, and a new zeroed tensor of t's
+// shape otherwise.
+func like(buf, t *tensor.Tensor) *tensor.Tensor {
+	if buf != nil && buf.SameShape(t) {
+		return buf
+	}
+	return tensor.New(t.Shape...)
 }
 
 // Conv2D is a 2-D convolution layer with HWC input, square kernels, and a
@@ -50,8 +90,10 @@ type Conv2D struct {
 
 	gFilter *tensor.Tensor
 	gBias   *tensor.Tensor
-	colBuf  []float32 // cached im2col of the last input
-	lastIn  *tensor.Tensor
+	colBuf  []float32 // im2col of the last input; nil before the first Forward
+	out     *tensor.Tensor
+	dCols   []float32
+	dIn     *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He-initialized weights
@@ -89,52 +131,81 @@ func (c *Conv2D) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	cols := g.K * g.K * g.InC
 	oh, ow := g.OutH(), g.OutW()
-	if len(c.colBuf) != oh*ow*cols {
+	if c.colBuf == nil {
 		c.colBuf = make([]float32, oh*ow*cols)
+		c.out = tensor.New(oh, ow, g.OutC)
 	}
 	tensor.Im2Col(c.colBuf, in.Data, g)
-	out := tensor.New(oh, ow, g.OutC)
-	tensor.MatMulInto(out.Data, c.colBuf, c.Filter.Data, oh*ow, cols, g.OutC)
+	tensor.MatMulInto(c.out.Data, c.colBuf, c.Filter.Data, oh*ow, cols, g.OutC)
 	for i := 0; i < oh*ow; i++ {
-		row := out.Data[i*g.OutC : (i+1)*g.OutC]
+		row := c.out.Data[i*g.OutC : (i+1)*g.OutC]
 		for ch := range row {
 			row[ch] += c.Bias.Data[ch]
 		}
 	}
-	c.lastIn = in
-	return out, nil
+	return c.out, nil
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+// checkGrad validates a backward-pass input.
+func (c *Conv2D) checkGrad(gradOut *tensor.Tensor) error {
 	g := c.Geom
-	oh, ow := g.OutH(), g.OutW()
-	if gradOut.Len() != oh*ow*g.OutC {
-		return nil, fmt.Errorf("nn: %s gradOut volume %d, want %d", c.Name(), gradOut.Len(), oh*ow*g.OutC)
+	if gradOut.Len() != g.OutH()*g.OutW()*g.OutC {
+		return fmt.Errorf("nn: %s gradOut volume %d, want %d", c.Name(), gradOut.Len(), g.OutH()*g.OutW()*g.OutC)
 	}
-	if c.lastIn == nil {
-		return nil, fmt.Errorf("nn: %s Backward before Forward", c.Name())
+	if c.colBuf == nil {
+		return fmt.Errorf("nn: %s gradient before Forward", c.Name())
 	}
+	return nil
+}
+
+// InputGrad implements Layer: dCols = gradOut · Filterᵀ, dIn = Col2Im(dCols).
+func (c *Conv2D) InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := c.checkGrad(gradOut); err != nil {
+		return nil, err
+	}
+	g := c.Geom
 	cols := g.K * g.K * g.InC
-	// dFilter += colsᵀ · gradOut   ({cols, oh*ow}·{oh*ow, OutC})
-	df := make([]float32, cols*g.OutC)
-	tensor.MatMulTransA(df, c.colBuf, gradOut.Data, cols, oh*ow, g.OutC)
-	for i, v := range df {
+	oh, ow := g.OutH(), g.OutW()
+	if c.dCols == nil {
+		c.dCols = make([]float32, oh*ow*cols)
+		c.dIn = tensor.New(g.InH, g.InW, g.InC)
+	}
+	tensor.MatMulTransB(c.dCols, gradOut.Data, c.Filter.Data, oh*ow, g.OutC, cols)
+	tensor.Col2Im(c.dIn.Data, c.dCols, g)
+	return c.dIn, nil
+}
+
+// record implements trainable: the sample's filter gradient colsᵀ·gradOut
+// ({cols, oh*ow}·{oh*ow, OutC}) and a copy of gradOut. The bias gradient
+// is kept as the gradOut rows themselves, not their sum: the bias adds
+// them one row at a time across samples, and a per-sample partial sum
+// would re-associate that sum.
+func (c *Conv2D) record(gradOut *tensor.Tensor, rec *gradRecord) error {
+	if err := c.checkGrad(gradOut); err != nil {
+		return err
+	}
+	g := c.Geom
+	cols := g.K * g.K * g.InC
+	if len(rec.x) != cols*g.OutC {
+		rec.x = make([]float32, cols*g.OutC)
+	}
+	tensor.MatMulTransA(rec.x, c.colBuf, gradOut.Data, cols, g.OutH()*g.OutW(), g.OutC)
+	rec.g = append(rec.g[:0], gradOut.Data...)
+	return nil
+}
+
+// accumulate implements trainable: dFilter += the recorded product, dBias
+// += each recorded gradOut row in turn.
+func (c *Conv2D) accumulate(rec *gradRecord) {
+	for i, v := range rec.x {
 		c.gFilter.Data[i] += v
 	}
-	// dBias += column sums of gradOut.
-	for i := 0; i < oh*ow; i++ {
-		row := gradOut.Data[i*g.OutC : (i+1)*g.OutC]
-		for ch, v := range row {
+	outC := c.Geom.OutC
+	for i := 0; i < len(rec.g); i += outC {
+		for ch, v := range rec.g[i : i+outC] {
 			c.gBias.Data[ch] += v
 		}
 	}
-	// dCols = gradOut · Filterᵀ; dIn = Col2Im(dCols).
-	dCols := make([]float32, oh*ow*cols)
-	tensor.MatMulTransB(dCols, gradOut.Data, c.Filter.Data, oh*ow, g.OutC, cols)
-	dIn := tensor.New(g.InH, g.InW, g.InC)
-	tensor.Col2Im(dIn.Data, dCols, g)
-	return dIn, nil
 }
 
 // Params implements Layer.
@@ -145,6 +216,10 @@ func (c *Conv2D) Params() []Param {
 	}
 }
 
+func (c *Conv2D) replica() Layer {
+	return &Conv2D{Geom: c.Geom, Filter: c.Filter, Bias: c.Bias, gFilter: c.gFilter, gBias: c.gBias}
+}
+
 // Dense is a fully connected layer: out = in·W + b with W {In, Out}.
 type Dense struct {
 	In, Out int
@@ -152,7 +227,9 @@ type Dense struct {
 	B       *tensor.Tensor // {Out}
 
 	gW, gB *tensor.Tensor
-	lastIn *tensor.Tensor
+	lastIn *tensor.Tensor // the last Forward's input, owned by the layer below
+	out    *tensor.Tensor
+	dIn    *tensor.Tensor
 }
 
 // NewDense constructs a dense layer with He-initialized weights.
@@ -179,41 +256,66 @@ func (d *Dense) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	if in.Len() != d.In {
 		return nil, fmt.Errorf("nn: %s input volume %d, want %d", d.Name(), in.Len(), d.In)
 	}
-	out := tensor.New(d.Out)
-	tensor.MatMulInto(out.Data, in.Data, d.W.Data, 1, d.In, d.Out)
-	for i := range out.Data {
-		out.Data[i] += d.B.Data[i]
+	if d.out == nil {
+		d.out = tensor.New(d.Out)
+	}
+	tensor.MatMulInto(d.out.Data, in.Data, d.W.Data, 1, d.In, d.Out)
+	for i := range d.out.Data {
+		d.out.Data[i] += d.B.Data[i]
 	}
 	d.lastIn = in
-	return out, nil
+	return d.out, nil
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+// checkGrad validates a backward-pass input.
+func (d *Dense) checkGrad(gradOut *tensor.Tensor) error {
 	if gradOut.Len() != d.Out {
-		return nil, fmt.Errorf("nn: %s gradOut volume %d, want %d", d.Name(), gradOut.Len(), d.Out)
+		return fmt.Errorf("nn: %s gradOut volume %d, want %d", d.Name(), gradOut.Len(), d.Out)
 	}
 	if d.lastIn == nil {
-		return nil, fmt.Errorf("nn: %s Backward before Forward", d.Name())
+		return fmt.Errorf("nn: %s gradient before Forward", d.Name())
 	}
-	// dW += inᵀ·gradOut (outer product), dB += gradOut.
-	for i := 0; i < d.In; i++ {
-		iv := d.lastIn.Data[i]
+	return nil
+}
+
+// InputGrad implements Layer: dIn = gradOut · Wᵀ.
+func (d *Dense) InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := d.checkGrad(gradOut); err != nil {
+		return nil, err
+	}
+	if d.dIn == nil {
+		d.dIn = tensor.New(d.In)
+	}
+	tensor.MatMulTransB(d.dIn.Data, gradOut.Data, d.W.Data, 1, d.Out, d.In)
+	return d.dIn, nil
+}
+
+// record implements trainable: copies of the input and of gradOut, whose
+// outer product accumulate adds.
+func (d *Dense) record(gradOut *tensor.Tensor, rec *gradRecord) error {
+	if err := d.checkGrad(gradOut); err != nil {
+		return err
+	}
+	rec.x = append(rec.x[:0], d.lastIn.Data...)
+	rec.g = append(rec.g[:0], gradOut.Data...)
+	return nil
+}
+
+// accumulate implements trainable: dW += inᵀ·gradOut (outer product,
+// skipping zero inputs), dB += gradOut.
+func (d *Dense) accumulate(rec *gradRecord) {
+	for i, iv := range rec.x {
 		if iv == 0 {
 			continue
 		}
 		row := d.gW.Data[i*d.Out : (i+1)*d.Out]
-		for j, gv := range gradOut.Data {
+		for j, gv := range rec.g {
 			row[j] += iv * gv
 		}
 	}
-	for j, gv := range gradOut.Data {
+	for j, gv := range rec.g {
 		d.gB.Data[j] += gv
 	}
-	// dIn = gradOut · Wᵀ.
-	dIn := tensor.New(d.In)
-	tensor.MatMulTransB(dIn.Data, gradOut.Data, d.W.Data, 1, d.Out, d.In)
-	return dIn, nil
 }
 
 // Params implements Layer.
@@ -224,10 +326,15 @@ func (d *Dense) Params() []Param {
 	}
 }
 
+func (d *Dense) replica() Layer {
+	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B, gW: d.gW, gB: d.gB}
+}
+
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
-	shape []int
-	mask  []bool
+	shape    []int
+	mask     []bool
+	out, dIn *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU for the given input shape.
@@ -243,42 +350,49 @@ func (r *ReLU) OutShape() []int { return r.shape }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := in.Clone()
-	if len(r.mask) != len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	r.out = like(r.out, in)
+	if len(r.mask) != len(in.Data) {
+		r.mask = make([]bool, len(in.Data))
 	}
-	for i, v := range out.Data {
+	for i, v := range in.Data {
 		if v < 0 {
-			out.Data[i] = 0
+			r.out.Data[i] = 0
 			r.mask[i] = false
 		} else {
+			r.out.Data[i] = v
 			r.mask[i] = true
 		}
 	}
-	return out, nil
+	return r.out, nil
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+// InputGrad implements Layer.
+func (r *ReLU) InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(r.mask) != gradOut.Len() {
-		return nil, fmt.Errorf("nn: relu Backward before Forward or shape changed")
+		return nil, fmt.Errorf("nn: relu gradient before Forward or shape changed")
 	}
-	dIn := gradOut.Clone()
-	for i := range dIn.Data {
-		if !r.mask[i] {
-			dIn.Data[i] = 0
+	r.dIn = like(r.dIn, gradOut)
+	for i, v := range gradOut.Data {
+		if r.mask[i] {
+			r.dIn.Data[i] = v
+		} else {
+			r.dIn.Data[i] = 0
 		}
 	}
-	return dIn, nil
+	return r.dIn, nil
 }
 
 // Params implements Layer.
 func (r *ReLU) Params() []Param { return nil }
 
+func (r *ReLU) replica() Layer { return NewReLU(r.shape) }
+
 // MaxPool2 is 2×2/stride-2 max pooling over HWC input.
 type MaxPool2 struct {
 	inShape []int
-	arg     []int32
+	arg     []int32 // argmax of the last Forward; nil before the first
+	out     *tensor.Tensor
+	dIn     *tensor.Tensor
 }
 
 // NewMaxPool2 constructs the pool for the given HWC input shape.
@@ -297,43 +411,59 @@ func (m *MaxPool2) OutShape() []int {
 	return []int{m.inShape[0] / 2, m.inShape[1] / 2, m.inShape[2]}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The input must have the configured shape.
 func (m *MaxPool2) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out, arg, err := tensor.MaxPool2(in)
-	if err != nil {
+	if !slices.Equal(in.Shape, m.inShape) {
+		return nil, fmt.Errorf("nn: maxpool input shape %v, want %v", in.Shape, m.inShape)
+	}
+	if m.out == nil {
+		m.out = tensor.New(m.OutShape()...)
+		m.arg = make([]int32, m.out.Len())
+	}
+	if err := tensor.MaxPool2Into(m.out, m.arg, in); err != nil {
 		return nil, err
 	}
-	m.arg = arg
-	return out, nil
+	return m.out, nil
 }
 
-// Backward implements Layer.
-func (m *MaxPool2) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+// InputGrad implements Layer: each gradient flows back to its window's
+// argmax.
+func (m *MaxPool2) InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if m.arg == nil {
-		return nil, fmt.Errorf("nn: maxpool Backward before Forward")
+		return nil, fmt.Errorf("nn: maxpool gradient before Forward")
 	}
 	if gradOut.Len() != len(m.arg) {
 		return nil, fmt.Errorf("nn: maxpool gradOut volume %d, want %d", gradOut.Len(), len(m.arg))
 	}
-	dIn := tensor.New(m.inShape...)
-	for o, src := range m.arg {
-		dIn.Data[src] += gradOut.Data[o]
+	if m.dIn == nil {
+		m.dIn = tensor.New(m.inShape...)
 	}
-	return dIn, nil
+	m.dIn.Zero()
+	for o, src := range m.arg {
+		m.dIn.Data[src] += gradOut.Data[o]
+	}
+	return m.dIn, nil
 }
 
 // Params implements Layer.
 func (m *MaxPool2) Params() []Param { return nil }
 
+func (m *MaxPool2) replica() Layer { return &MaxPool2{inShape: m.inShape} }
+
 // Flatten reshapes an HWC tensor to rank-1. It exists so the network's
-// layer list mirrors the textbook CNN architecture.
+// layer list mirrors the textbook CNN architecture. Its outputs are views
+// of its inputs.
 type Flatten struct {
 	inShape []int
+	out     tensor.Tensor
+	dIn     tensor.Tensor
 }
 
 // NewFlatten constructs a flatten stage for the given input shape.
 func NewFlatten(inShape []int) *Flatten {
-	return &Flatten{inShape: append([]int(nil), inShape...)}
+	f := &Flatten{inShape: append([]int(nil), inShape...)}
+	f.dIn.Shape = f.inShape
+	return f
 }
 
 // Name implements Layer.
@@ -344,13 +474,23 @@ func (f *Flatten) OutShape() []int { return []int{tensor.Volume(f.inShape)} }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return in.Reshape(in.Len())
+	if len(f.out.Shape) != 1 || f.out.Shape[0] != in.Len() {
+		f.out.Shape = []int{in.Len()}
+	}
+	f.out.Data = in.Data
+	return &f.out, nil
 }
 
-// Backward implements Layer.
-func (f *Flatten) Backward(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	return gradOut.Reshape(f.inShape...)
+// InputGrad implements Layer.
+func (f *Flatten) InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
+	if gradOut.Len() != tensor.Volume(f.inShape) {
+		return nil, fmt.Errorf("nn: flatten gradOut volume %d, want %d", gradOut.Len(), tensor.Volume(f.inShape))
+	}
+	f.dIn.Data = gradOut.Data
+	return &f.dIn, nil
 }
 
 // Params implements Layer.
 func (f *Flatten) Params() []Param { return nil }
+
+func (f *Flatten) replica() Layer { return NewFlatten(f.inShape) }

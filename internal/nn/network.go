@@ -6,12 +6,17 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
 
 // Network is a sequential stack of layers ending in logits; softmax is
-// applied by the loss (training) or by Predict (inference).
+// applied by the loss (training) or by Predict (inference). A network's
+// layers cache the last sample they saw, so one network runs one sample
+// at a time; Train and Accuracy spread samples over replicas of it.
 type Network struct {
 	InShape []int
 	Layers  []Layer
@@ -83,7 +88,8 @@ func Build(a Arch, rng *rand.Rand) (*Network, error) {
 	return &Network{InShape: []int{a.InH, a.InW, a.InC}, Layers: layers, Classes: a.Classes}, nil
 }
 
-// Forward runs the network on one sample and returns the logits.
+// Forward runs the network on one sample and returns the logits, which
+// live in the last layer's buffer until the next Forward.
 func (n *Network) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	x := in
 	for _, l := range n.Layers {
@@ -107,17 +113,76 @@ func (n *Network) Predict(in *tensor.Tensor) (int, *tensor.Tensor, error) {
 	return cls, probs, nil
 }
 
-// Backward runs backprop from dL/d(logits) through the whole stack.
-func (n *Network) Backward(gradLogits *tensor.Tensor) error {
-	g := gradLogits
+// backward records each trainable layer's parameter gradient in recs
+// (indexed like Layers) and propagates the input gradient down to layer 1:
+// nothing consumes the gradient with respect to the network's input.
+func (n *Network) backward(g *tensor.Tensor, recs []gradRecord) error {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
+		l := n.Layers[i]
+		if t, ok := l.(trainable); ok {
+			if err := t.record(g, &recs[i]); err != nil {
+				return fmt.Errorf("nn: backward through %s: %w", l.Name(), err)
+			}
+		}
+		if i == 0 {
+			break
+		}
 		var err error
-		g, err = n.Layers[i].Backward(g)
-		if err != nil {
-			return fmt.Errorf("nn: backward through %s: %w", n.Layers[i].Name(), err)
+		if g, err = l.InputGrad(g); err != nil {
+			return fmt.Errorf("nn: backward through %s: %w", l.Name(), err)
 		}
 	}
 	return nil
+}
+
+// accumulate adds records made by backward into the Grad tensors.
+func (n *Network) accumulate(recs []gradRecord) {
+	for i, l := range n.Layers {
+		if t, ok := l.(trainable); ok {
+			t.accumulate(&recs[i])
+		}
+	}
+}
+
+// replicas returns k networks sharing n's parameters and gradient tensors:
+// n itself, then k-1 replicas with caches of their own.
+func (n *Network) replicas(k int) []*Network {
+	nets := []*Network{n}
+	for len(nets) < k {
+		layers := make([]Layer, len(n.Layers))
+		for i, l := range n.Layers {
+			layers[i] = l.replica()
+		}
+		nets = append(nets, &Network{InShape: n.InShape, Layers: layers, Classes: n.Classes})
+	}
+	return nets
+}
+
+// parallel calls fn(w, i) for every i in [0, n), spread over workers
+// goroutines that each claim the next unclaimed i; w is the claiming
+// worker's index. Worker 0 is the calling goroutine, and parallel returns
+// once every call has.
+func parallel(workers, n int, fn func(w, i int)) {
+	var next atomic.Int64
+	run := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
 }
 
 // Params returns all parameter/gradient pairs in layer order.
@@ -145,21 +210,20 @@ func (n *Network) ParamCount() int {
 	return total
 }
 
-// LossGrad computes softmax cross-entropy loss for one sample and the
-// gradient with respect to the logits (probs - onehot).
-func LossGrad(logits *tensor.Tensor, label int) (float64, *tensor.Tensor, error) {
+// lossGrad computes softmax cross-entropy loss for one sample and writes
+// the gradient with respect to the logits (probs - onehot) into grad,
+// which must have the logits' length.
+func lossGrad(grad, logits *tensor.Tensor, label int) (float64, error) {
 	if label < 0 || label >= logits.Len() {
-		return 0, nil, fmt.Errorf("nn: label %d out of range for %d logits", label, logits.Len())
+		return 0, fmt.Errorf("nn: label %d out of range for %d logits", label, logits.Len())
 	}
-	probs := tensor.Softmax(logits)
-	p := float64(probs.Data[label])
+	tensor.SoftmaxInto(grad.Data, logits.Data)
+	p := float64(grad.Data[label])
 	if p < 1e-12 {
 		p = 1e-12
 	}
-	loss := -math.Log(p)
-	grad := probs.Clone()
 	grad.Data[label] -= 1
-	return loss, grad, nil
+	return -math.Log(p), nil
 }
 
 // SGD is stochastic gradient descent with classical momentum and optional
@@ -178,7 +242,7 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 
 // Step applies one update to every parameter given its accumulated
 // gradient scaled by 1/batchSize, then zeroes the gradients.
-func (o *SGD) Step(n *Network, batchSize int) {
+func (o *SGD) Step(params []Param, batchSize int) {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -186,7 +250,7 @@ func (o *SGD) Step(n *Network, batchSize int) {
 	lr := float32(o.LR)
 	mu := float32(o.Momentum)
 	wd := float32(o.WeightDecay)
-	for _, p := range n.Params() {
+	for _, p := range params {
 		vel, ok := o.velocity[p.Value]
 		if !ok {
 			vel = make([]float32, p.Value.Len())
@@ -212,8 +276,46 @@ type TrainConfig struct {
 	Progress func(epoch int, loss, acc float64)
 }
 
-// Train fits the network on the given samples with SGD. Inputs and labels
-// must be parallel slices; inputs are single samples (no batch dim).
+// slot is one batch position: the outcome of the sample trained there,
+// held until the serial phase folds it in.
+type slot struct {
+	recs    []gradRecord
+	grad    *tensor.Tensor // dL/d(logits)
+	loss    float64
+	correct bool
+	err     error
+}
+
+// trainSample runs forward, loss and backward for one sample on net,
+// recording its gradients and outcome in s.
+func (s *slot) trainSample(net *Network, in *tensor.Tensor, label int) {
+	logits, err := net.Forward(in)
+	if err != nil {
+		s.err = err
+		return
+	}
+	cls, _ := logits.MaxIndex()
+	s.correct = cls == label
+	s.grad = like(s.grad, logits)
+	if s.loss, s.err = lossGrad(s.grad, logits, label); s.err != nil {
+		return
+	}
+	s.err = net.backward(s.grad, s.recs)
+}
+
+// Train fits the network on the given samples with minibatch SGD. Inputs
+// and labels must be parallel slices; inputs are single samples (no batch
+// dim).
+//
+// Each minibatch runs in two phases. In the parallel phase its samples are
+// spread over min(GOMAXPROCS, BatchSize) workers, each a replica of the
+// network that shares the weights (read-only here) but not the layer
+// caches; every sample records its loss and parameter gradients in its
+// batch slot. In the serial phase the slots are folded in in sample order,
+// with the same float32 adds into each gradient a one-sample-at-a-time
+// loop makes, and the optimizer steps. The result is byte-identical at
+// every worker count, and a failing sample reports the error of the first
+// failure in sample order.
 func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) error {
 	if len(inputs) == 0 || len(inputs) != len(labels) {
 		return fmt.Errorf("nn: Train needs parallel non-empty inputs/labels, got %d/%d", len(inputs), len(labels))
@@ -228,38 +330,37 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 		cfg.LR = 0.05
 	}
 	opt := NewSGD(cfg.LR, cfg.Momentum, 0)
+	params := n.Params()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(inputs))
 	for i := range order {
 		order[i] = i
 	}
+	nets := n.replicas(min(runtime.GOMAXPROCS(0), cfg.BatchSize))
+	slots := make([]slot, min(cfg.BatchSize, len(inputs)))
+	for i := range slots {
+		slots[i].recs = make([]gradRecord, len(n.Layers))
+	}
+	var batch []int
+	trainSlot := func(w, i int) { slots[i].trainSample(nets[w], inputs[batch[i]], labels[batch[i]]) }
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		totalLoss, correct := 0.0, 0
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			for _, idx := range order[start:end] {
-				logits, err := n.Forward(inputs[idx])
-				if err != nil {
-					return err
+			batch = order[start:min(start+cfg.BatchSize, len(order))]
+			parallel(len(nets), len(batch), trainSlot)
+			for i := range batch {
+				s := &slots[i]
+				if s.err != nil {
+					return s.err
 				}
-				cls, _ := logits.MaxIndex()
-				if cls == labels[idx] {
+				if s.correct {
 					correct++
 				}
-				loss, grad, err := LossGrad(logits, labels[idx])
-				if err != nil {
-					return err
-				}
-				totalLoss += loss
-				if err := n.Backward(grad); err != nil {
-					return err
-				}
+				totalLoss += s.loss
+				n.accumulate(s.recs)
 			}
-			opt.Step(n, end-start)
+			opt.Step(params, len(batch))
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, totalLoss/float64(len(order)), float64(correct)/float64(len(order)))
@@ -268,18 +369,27 @@ func Train(n *Network, inputs []*tensor.Tensor, labels []int, cfg TrainConfig) e
 	return nil
 }
 
-// Accuracy evaluates classification accuracy on a labelled set.
+// Accuracy evaluates classification accuracy on a labelled set, spreading
+// the samples over min(GOMAXPROCS, len(inputs)) replicas of the network.
+// A failing sample reports the error of the first failure in sample order.
 func Accuracy(n *Network, inputs []*tensor.Tensor, labels []int) (float64, error) {
 	if len(inputs) == 0 || len(inputs) != len(labels) {
 		return 0, fmt.Errorf("nn: Accuracy needs parallel non-empty inputs/labels")
 	}
+	nets := n.replicas(min(runtime.GOMAXPROCS(0), len(inputs)))
+	hits := make([]bool, len(inputs))
+	errs := make([]error, len(inputs))
+	parallel(len(nets), len(inputs), func(w, i int) {
+		var cls int
+		cls, _, errs[i] = nets[w].Predict(inputs[i])
+		hits[i] = cls == labels[i]
+	})
 	correct := 0
-	for i, in := range inputs {
-		cls, _, err := n.Predict(in)
-		if err != nil {
-			return 0, err
+	for i, hit := range hits {
+		if errs[i] != nil {
+			return 0, errs[i]
 		}
-		if cls == labels[i] {
+		if hit {
 			correct++
 		}
 	}

@@ -35,8 +35,8 @@ func TestConv2DRejectsBadInput(t *testing.T) {
 	if _, err := c.Forward(tensor.New(4, 4, 2)); err == nil {
 		t.Fatal("conv accepted wrong input volume")
 	}
-	if _, err := c.Backward(tensor.New(6, 6, 4)); err == nil {
-		t.Fatal("conv Backward before Forward accepted")
+	if _, err := c.InputGrad(tensor.New(6, 6, 4)); err == nil {
+		t.Fatal("conv gradient before Forward accepted")
 	}
 }
 
@@ -52,7 +52,7 @@ func TestDenseForwardBackwardShapes(t *testing.T) {
 	if out.Len() != 4 {
 		t.Fatalf("dense out = %d, want 4", out.Len())
 	}
-	dIn, err := d.Backward(tensor.New(4))
+	dIn, err := d.InputGrad(tensor.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,20 @@ func forwardLoss(n *Network, in *tensor.Tensor, label int) (float64, *tensor.Ten
 	if err != nil {
 		return 0, nil, err
 	}
-	loss, grad, err := LossGrad(logits, label)
+	grad := tensor.New(logits.Shape...)
+	loss, err := lossGrad(grad, logits, label)
 	return loss, grad, err
+}
+
+// backprop adds one sample's parameter gradients into n's Grad tensors,
+// as a training step does.
+func backprop(n *Network, grad *tensor.Tensor) error {
+	recs := make([]gradRecord, len(n.Layers))
+	if err := n.backward(grad, recs); err != nil {
+		return err
+	}
+	n.accumulate(recs)
+	return nil
 }
 
 // TestGradientsMatchNumerical is the core correctness check for backprop: a
@@ -112,7 +124,7 @@ func TestGradientsMatchNumerical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Backward(grad); err != nil {
+	if err := backprop(n, grad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +143,8 @@ func TestGradientsMatchNumerical(t *testing.T) {
 
 func TestLossGradProperties(t *testing.T) {
 	logits := tensor.MustFromSlice([]float32{2, -1, 0.5}, 3)
-	loss, grad, err := LossGrad(logits, 0)
+	grad := tensor.New(3)
+	loss, err := lossGrad(grad, logits, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +159,8 @@ func TestLossGradProperties(t *testing.T) {
 	if grad.Data[0] >= 0 {
 		t.Fatalf("grad at true label = %v, want < 0", grad.Data[0])
 	}
-	if _, _, err := LossGrad(logits, 5); err == nil {
-		t.Fatal("LossGrad accepted out-of-range label")
+	if _, err := lossGrad(grad, logits, 5); err == nil {
+		t.Fatal("lossGrad accepted out-of-range label")
 	}
 }
 
@@ -242,10 +255,10 @@ func TestSGDMomentumMovesParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Backward(grad); err != nil {
+	if err := backprop(n, grad); err != nil {
 		t.Fatal(err)
 	}
-	NewSGD(0.1, 0.9, 0).Step(n, 1)
+	NewSGD(0.1, 0.9, 0).Step(n.Params(), 1)
 	after := n.Params()[0].Value
 	moved := false
 	for i := range before.Data {
@@ -328,7 +341,7 @@ func TestQuickReLUBackwardMask(t *testing.T) {
 		for i := range g.Data {
 			g.Data[i] = 1
 		}
-		dIn, err := r.Backward(g)
+		dIn, err := r.InputGrad(g)
 		if err != nil {
 			return false
 		}
@@ -369,7 +382,7 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 		for i := range g.Data {
 			g.Data[i] = rng.Float32()
 		}
-		dIn, err := p.Backward(g)
+		dIn, err := p.InputGrad(g)
 		if err != nil {
 			return false
 		}
@@ -377,6 +390,56 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBuildMLP(t *testing.T) {
+	n, err := BuildMLP(MNISTMLPArch(), testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits, err := n.Forward(tensor.New(28, 28, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logits.Len() != 10 {
+		t.Fatalf("MLP logits = %d", logits.Len())
+	}
+	// flatten + 2×(dense+relu) + dense = 6 layers.
+	if len(n.Layers) != 6 {
+		t.Fatalf("MLP layers = %d, want 6", len(n.Layers))
+	}
+	bad := MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Hidden: []int{0}, Classes: 3}
+	if bad.Validate() == nil {
+		t.Fatal("zero hidden size accepted")
+	}
+	bad = MLPArch{Name: "bad", InH: 0, InW: 8, InC: 1, Classes: 3}
+	if bad.Validate() == nil {
+		t.Fatal("zero input dim accepted")
+	}
+	bad = MLPArch{Name: "bad", InH: 8, InW: 8, InC: 1, Classes: 1}
+	if bad.Validate() == nil {
+		t.Fatal("single class accepted")
+	}
+}
+
+func TestMLPLearnsSeparableProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	arch := MLPArch{Name: "t", InH: 12, InW: 12, InC: 1, Hidden: []int{16}, Classes: 2}
+	n, err := BuildMLP(arch, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, labels := separableData(rng, 100)
+	if err := Train(n, inputs, labels, TrainConfig{Epochs: 5, BatchSize: 8, LR: 0.05, Momentum: 0.9, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	acc, err := Accuracy(n, inputs, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.95 {
+		t.Fatalf("MLP accuracy = %v", acc)
 	}
 }
 
@@ -517,4 +580,23 @@ func FuzzLoadModel(f *testing.F) {
 			t.Fatal("Save∘Load∘Save is not the identity on an accepted model")
 		}
 	})
+}
+
+// TestTrainWithValidation checks that Train rejects bad samples met
+// during training: a label outside the class range and an input of the
+// wrong shape both fail the run instead of being trained on.
+func TestTrainWithValidation(t *testing.T) {
+	n, err := Build(Arch{Name: "t", InH: 12, InW: 12, InC: 1, Conv1: 2, Conv2: 2, Kernel: 3, Classes: 2}, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Train(n, []*tensor.Tensor{tensor.New(12, 12, 1)}, []int{2}, TrainConfig{}); err == nil {
+		t.Fatal("Train accepted out-of-range label")
+	}
+	if err := Train(n, []*tensor.Tensor{tensor.New(12, 12, 1)}, []int{-1}, TrainConfig{}); err == nil {
+		t.Fatal("Train accepted negative label")
+	}
+	if err := Train(n, []*tensor.Tensor{tensor.New(8, 8, 1)}, []int{0}, TrainConfig{}); err == nil {
+		t.Fatal("Train accepted wrongly shaped input")
+	}
 }

@@ -259,6 +259,11 @@ merge:
 		return true, nil
 	case cErr != nil:
 		return false, wrapCancel("stream collection", cErr)
+	case ctx.Err() != nil:
+		// The caller cancelled after every producer had finished, so
+		// collection saw no error; the campaign was still interrupted,
+		// and whether a producer was still running must not decide that.
+		return false, wrapCancel("stream collection", ctx.Err())
 	default:
 		return false, nil
 	}

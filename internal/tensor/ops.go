@@ -45,19 +45,40 @@ func MatMulInto(dst, a, b []float32, m, k, n int) {
 }
 
 // MatMulTransB computes dst = a·bᵀ for a (m×k) and b (n×k); dst length m*n.
+// Each output is one accumulator summed over p in ascending order; the
+// kernel computes four outputs of a row per pass over it, which changes
+// the speed and not a single bit of the result.
 func MatMulTransB(dst, a, b []float32, m, k, n int) {
 	if len(dst) != m*n || len(a) != m*k || len(b) != n*k {
 		panic(fmt.Sprintf("tensor: MatMulTransB size mismatch m=%d k=%d n=%d", m, k, n))
 	}
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
+		dr := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k]
+			b1 := b[(j+1)*k : (j+2)*k]
+			b2 := b[(j+2)*k : (j+3)*k]
+			b3 := b[(j+3)*k : (j+4)*k]
+			b0, b1, b2, b3 = b0[:len(ar)], b1[:len(ar)], b2[:len(ar)], b3[:len(ar)]
+			var s0, s1, s2, s3 float32
+			for p, av := range ar {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			dr[j], dr[j+1], dr[j+2], dr[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
 			br := b[j*k : (j+1)*k]
+			br = br[:len(ar)]
 			var s float32
 			for p, av := range ar {
 				s += av * br[p]
 			}
-			dst[i*n+j] = s
+			dr[j] = s
 		}
 	}
 }
@@ -146,9 +167,9 @@ func Im2Col(dst []float32, in []float32, g ConvGeom) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters-and-accumulates the column
-// matrix back into an input-shaped gradient buffer (which must be
-// pre-zeroed by the caller or is overwritten here — this function zeroes it).
+// Col2Im is the adjoint of Im2Col: it zeroes dstIn, then scatters and
+// accumulates the column matrix back into that input-shaped gradient
+// buffer. Whatever dstIn held before the call is discarded.
 func Col2Im(dstIn []float32, cols []float32, g ConvGeom) {
 	oh, ow := g.OutH(), g.OutW()
 	ncols := g.K * g.K * g.InC
@@ -216,16 +237,28 @@ func Conv2D(in *Tensor, filters *Tensor, bias []float32, g ConvGeom) (*Tensor, e
 // truncating odd trailing rows/columns (floor semantics). It also returns
 // the flat argmax index of each pooled element for use in backprop.
 func MaxPool2(in *Tensor) (*Tensor, []int32, error) {
-	if in.Rank() != 3 {
-		return nil, nil, fmt.Errorf("tensor: MaxPool2 requires HWC rank-3 input, got %v", in.Shape)
+	if err := checkPool(in); err != nil {
+		return nil, nil, err
+	}
+	out := New(in.Shape[0]/2, in.Shape[1]/2, in.Shape[2])
+	arg := make([]int32, out.Len())
+	if err := MaxPool2Into(out, arg, in); err != nil {
+		return nil, nil, err
+	}
+	return out, arg, nil
+}
+
+// MaxPool2Into is MaxPool2 writing into caller-owned buffers: out must
+// have shape {H/2, W/2, C} for in's {H, W, C} and arg out's length.
+func MaxPool2Into(out *Tensor, arg []int32, in *Tensor) error {
+	if err := checkPool(in); err != nil {
+		return err
 	}
 	h, w, c := in.Shape[0], in.Shape[1], in.Shape[2]
 	oh, ow := h/2, w/2
-	if oh == 0 || ow == 0 {
-		return nil, nil, fmt.Errorf("tensor: MaxPool2 input %v too small", in.Shape)
+	if out.Rank() != 3 || out.Shape[0] != oh || out.Shape[1] != ow || out.Shape[2] != c || len(arg) != out.Len() {
+		return fmt.Errorf("tensor: MaxPool2Into buffers %v/%d do not fit input %v", out.Shape, len(arg), in.Shape)
 	}
-	out := New(oh, ow, c)
-	arg := make([]int32, oh*ow*c)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for ch := 0; ch < c; ch++ {
@@ -246,7 +279,18 @@ func MaxPool2(in *Tensor) (*Tensor, []int32, error) {
 			}
 		}
 	}
-	return out, arg, nil
+	return nil
+}
+
+// checkPool rejects inputs MaxPool2 cannot pool.
+func checkPool(in *Tensor) error {
+	if in.Rank() != 3 {
+		return fmt.Errorf("tensor: MaxPool2 requires HWC rank-3 input, got %v", in.Shape)
+	}
+	if in.Shape[0]/2 == 0 || in.Shape[1]/2 == 0 {
+		return fmt.Errorf("tensor: MaxPool2 input %v too small", in.Shape)
+	}
+	return nil
 }
 
 // ReLU applies max(0,x) element-wise, returning a new tensor.
@@ -264,24 +308,33 @@ func ReLU(in *Tensor) *Tensor {
 // subtracting the max logit.
 func Softmax(in *Tensor) *Tensor {
 	out := New(in.Shape...)
-	if len(in.Data) == 0 {
-		return out
+	SoftmaxInto(out.Data, in.Data)
+	return out
+}
+
+// SoftmaxInto writes the softmax of src into dst, which must have src's
+// length; the two may not overlap.
+func SoftmaxInto(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: SoftmaxInto length mismatch %d vs %d", len(dst), len(src)))
 	}
-	maxv := in.Data[0]
-	for _, v := range in.Data {
+	if len(src) == 0 {
+		return
+	}
+	maxv := src[0]
+	for _, v := range src {
 		if v > maxv {
 			maxv = v
 		}
 	}
 	sum := 0.0
-	for i, v := range in.Data {
+	for i, v := range src {
 		e := math.Exp(float64(v - maxv))
-		out.Data[i] = float32(e)
+		dst[i] = float32(e)
 		sum += e
 	}
 	inv := float32(1.0 / sum)
-	for i := range out.Data {
-		out.Data[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
-	return out
 }

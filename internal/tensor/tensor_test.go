@@ -199,6 +199,69 @@ func TestMatMulAgainstNaiveRandom(t *testing.T) {
 	}
 }
 
+// TestMatMulTransBBitIdentical pins MatMulTransB to the one-accumulator
+// loop it replaced, bit for bit: trained weights depend on every rounding
+// of it. The shapes cover the four-column blocks with and without a
+// remainder (n mod 4 = 0..3), and the values include ±0, NaN and ±Inf.
+func TestMatMulTransBBitIdentical(t *testing.T) {
+	naive := func(a, b []float32, m, k, n int) []float32 {
+		dst := make([]float32, m*n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				for p := 0; p < k; p++ {
+					s += a[i*k+p] * b[j*k+p]
+				}
+				dst[i*n+j] = s
+			}
+		}
+		return dst
+	}
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-30, -1e30}
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		name    string
+		m, k, n int
+		special bool
+	}{
+		{"n=4", 3, 5, 4, false},
+		{"n=5", 3, 5, 5, false},
+		{"n=6", 2, 7, 6, false},
+		{"n=7", 2, 7, 7, false},
+		{"n=1", 4, 3, 1, false},
+		{"conv2 dCols", 121, 16, 72, false},
+		{"conv1 dCols", 676, 8, 9, false},
+		{"dense dIn", 1, 10, 400, false},
+		{"special n=9", 5, 6, 9, true},
+		{"special n=12", 4, 3, 12, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fill := func(n int) []float32 {
+				v := make([]float32, n)
+				for i := range v {
+					v[i] = rng.Float32()*2 - 1
+					if tc.special && rng.Intn(3) == 0 {
+						v[i] = special[rng.Intn(len(special))]
+					}
+				}
+				return v
+			}
+			a, b := fill(tc.m*tc.k), fill(tc.n*tc.k)
+			want := naive(a, b, tc.m, tc.k, tc.n)
+			got := make([]float32, tc.m*tc.n)
+			for i := range got {
+				got[i] = 7 // stale contents must be overwritten
+			}
+			MatMulTransB(got, a, b, tc.m, tc.k, tc.n)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("dst[%d] = %v (%#x), naive loop %v (%#x)", i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		})
+	}
+}
+
 func TestMatMulTransBAndTransA(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, k, n := 5, 4, 6

@@ -1,11 +1,15 @@
 package repro
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/march"
+	"repro/internal/nn"
 	"repro/internal/stats"
 )
 
@@ -217,6 +221,31 @@ func TestDefaultScenarioCached(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("DefaultScenario rebuilt instead of caching")
+	}
+}
+
+// TestDefaultMNISTModelDigest pins the default MNIST victim (seed 1) to
+// the bytes the one-sample-at-a-time training loop produced. Every golden
+// runs on these weights; training on parallel workers must not move a bit.
+func TestDefaultMNISTModelDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the full default scenario")
+	}
+	s, err := DefaultScenario(DatasetMNIST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := nn.SaveModel(&buf, s.Arch, s.Net); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	const want = "5d60780d525fe2e7db10babffdb3dd4e96901f249855791e432922d9be36003d"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("default MNIST model digest %s, want %s", got, want)
+	}
+	if s.TestAccuracy != 0.9716666666666667 {
+		t.Fatalf("default MNIST test accuracy %v, want 0.9716666666666667", s.TestAccuracy)
 	}
 }
 
