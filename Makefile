@@ -111,17 +111,22 @@ batchsmoke:
 	echo "batchsmoke: batch=1 and batch=8 distributions are byte-identical"
 
 # Streaming-monitor determinism smoke: the same campaign is run through
-# cmd/monitor to exhaustion (-no-stop) and through cmd/evaluate, and the
-# raw distribution CSVs must be byte-identical — the stream seam
-# reorders nothing and loses nothing.
+# cmd/monitor to exhaustion (-no-stop) at 2 and at 1 workers and through
+# cmd/evaluate, and the raw distribution CSVs must be byte-identical —
+# the stream seam reorders nothing and loses nothing. 150 runs per class
+# plan 3 shards each, so at 2 workers the stream's 4 admission slots are
+# recycled and producers run ahead of the merger.
 streamsmoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
-	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 30 -workers 2 -seed 17 \
+	$(GO) run ./cmd/evaluate -dataset mnist -classes 1,2 -runs 150 -workers 2 -seed 17 \
 		-csv $$tmp/batch.csv >/dev/null; \
-	$(GO) run ./cmd/monitor -dataset mnist -classes 1,2 -budget 30 -workers 2 -seed 17 \
+	$(GO) run ./cmd/monitor -dataset mnist -classes 1,2 -budget 150 -workers 2 -seed 17 \
 		-no-stop -csv $$tmp/stream.csv >/dev/null; \
+	$(GO) run ./cmd/monitor -dataset mnist -classes 1,2 -budget 150 -workers 1 -seed 17 \
+		-no-stop -csv $$tmp/stream1.csv >/dev/null; \
 	cmp $$tmp/batch.csv $$tmp/stream.csv; \
-	echo "streamsmoke: streamed-to-exhaustion and batch distributions are byte-identical"
+	cmp $$tmp/stream1.csv $$tmp/stream.csv; \
+	echo "streamsmoke: streamed-to-exhaustion and batch distributions are byte-identical at 1 and 2 workers"
 
 # Telemetry smoke: a fully-traced multi-process campaign must emit a
 # schema-valid Chrome trace while leaving the distribution CSV

@@ -98,10 +98,17 @@ type server struct {
 	campaigns map[int]*campaign
 	order     []int
 	nextID    int
+	// closed is set by Close under mu; enqueues check it under the same
+	// lock, so no POST ever sends on the closed queue.
+	closed bool
 
 	queue chan int
 	done  chan struct{}
 }
+
+// queueDepth is the number of submitted campaigns that may wait behind
+// the running one; a POST beyond it is refused with 503.
+const queueDepth = 1024
 
 func newServer(run runFunc) *server {
 	return newServerWithClock(run, obs.SystemClock())
@@ -114,7 +121,7 @@ func newServerWithClock(run runFunc, clock obs.Clock) *server {
 		metrics:   obs.New(obs.Config{Clock: clock, Label: "audit-server"}),
 		campaigns: map[int]*campaign{},
 		nextID:    1,
-		queue:     make(chan int, 1024),
+		queue:     make(chan int, queueDepth),
 		done:      make(chan struct{}),
 	}
 	go s.worker()
@@ -152,10 +159,38 @@ func (s *server) worker() {
 	close(s.done)
 }
 
-// Close stops accepting work and waits for the in-flight campaign.
+// Close stops accepting work and waits for the queued and in-flight
+// campaigns. Later POSTs are refused with 503.
 func (s *server) Close() {
+	s.mu.Lock()
+	s.closed = true
 	close(s.queue)
+	s.mu.Unlock()
 	<-s.done
+}
+
+// enqueue registers and queues a campaign without blocking: a closed
+// server or a full queue refuses it. The worker looks a dequeued id up
+// under mu, so queuing before registering under the same lock is safe.
+func (s *server) enqueue(req CampaignRequest) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, fmt.Errorf("server is shutting down")
+	}
+	id := s.nextID
+	select {
+	case s.queue <- id:
+	default:
+		return 0, fmt.Errorf("campaign queue is full (%d waiting)", queueDepth)
+	}
+	s.nextID++
+	// Submitted is display-only operator telemetry read off the obs
+	// clock — the repo's one sanctioned wall-clock source; no campaign
+	// bytes derive from it.
+	s.campaigns[id] = &campaign{ID: id, State: stateQueued, Request: req, Submitted: s.clock.Now().UTC()}
+	s.order = append(s.order, id)
+	return id, nil
 }
 
 func (s *server) handler() http.Handler {
@@ -182,17 +217,11 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.mu.Lock()
-		id := s.nextID
-		s.nextID++
-		// Submitted is display-only operator telemetry read off the obs
-		// clock — the repo's one sanctioned wall-clock source; no campaign
-		// bytes derive from it.
-		c := &campaign{ID: id, State: stateQueued, Request: req, Submitted: s.clock.Now().UTC()}
-		s.campaigns[id] = c
-		s.order = append(s.order, id)
-		s.mu.Unlock()
-		s.queue <- id
+		id, err := s.enqueue(req)
+		if err != nil {
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
 		writeJSON(w, http.StatusAccepted, enqueuedJSON{ID: id, State: stateQueued})
 	case http.MethodGet:
 		s.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -372,5 +373,106 @@ func TestServerMonitorStage(t *testing.T) {
 	}
 	if !rep.Stopped || rep.Detection.Traces != 58 {
 		t.Fatalf("served report %s does not surface the detection trace count", c.Report)
+	}
+}
+
+// servePost submits validBody straight to the handler, reporting a
+// handler panic instead of crashing the test binary.
+func servePost(h http.Handler) (code int, panicked any) {
+	defer func() { panicked = recover() }()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(validBody)))
+	return rec.Code, nil
+}
+
+// TestServerRefusesWhenQueueFull: with one campaign running and the
+// queue full, a further POST is refused with 503 at once instead of
+// blocking its handler until a slot frees.
+func TestServerRefusesWhenQueueFull(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s := newServer(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return json.RawMessage(`{}`), nil
+	})
+	t.Cleanup(func() {
+		close(release)
+		s.Close()
+	})
+	h := s.handler()
+	if code, p := servePost(h); code != http.StatusAccepted || p != nil {
+		t.Fatalf("first POST: status %d, panic %v", code, p)
+	}
+	<-started // the worker holds campaign 1; the queue is empty
+	for i := 0; i < queueDepth; i++ {
+		if code, p := servePost(h); code != http.StatusAccepted || p != nil {
+			t.Fatalf("queued POST %d: status %d, panic %v", i, code, p)
+		}
+	}
+	refused := make(chan int, 1)
+	go func() {
+		code, _ := servePost(h)
+		refused <- code
+	}()
+	select {
+	case code := <-refused:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("POST to a full queue: status %d, want 503", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("POST to a full queue blocked its handler")
+	}
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n != queueDepth+1 {
+		t.Fatalf("%d campaigns registered, want %d: the refused one must not be listed", n, queueDepth+1)
+	}
+}
+
+// TestServerRefusesAfterClose: a POST that arrives after Close — or
+// races it — gets 503 or is queued and run; it never panics on the
+// closed queue.
+func TestServerRefusesAfterClose(t *testing.T) {
+	var ran atomic.Int64
+	s := newServer(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		ran.Add(1)
+		return json.RawMessage(`{}`), nil
+	})
+	h := s.handler()
+
+	var wg sync.WaitGroup
+	var accepted atomic.Int64
+	codes := make(chan string, 16)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, p := servePost(h)
+			switch {
+			case p != nil:
+				codes <- fmt.Sprintf("panic: %v", p)
+			case code == http.StatusAccepted:
+				accepted.Add(1)
+			case code != http.StatusServiceUnavailable:
+				codes <- fmt.Sprintf("status %d", code)
+			}
+		}()
+	}
+	s.Close()
+	wg.Wait()
+	close(codes)
+	for c := range codes {
+		t.Errorf("POST racing Close: %s, want 202 or 503", c)
+	}
+	if code, p := servePost(h); code != http.StatusServiceUnavailable || p != nil {
+		t.Fatalf("POST after Close: status %d, panic %v; want 503", code, p)
+	}
+	// Close waits for the queue to drain, but a POST accepted after the
+	// drain would be lost; every accepted campaign must have run.
+	if ran.Load() != accepted.Load() {
+		t.Fatalf("%d campaigns accepted, %d ran", accepted.Load(), ran.Load())
 	}
 }

@@ -470,48 +470,3 @@ func (b *BTB) Reset() {
 	clear(b.targets)
 	b.hits, b.misses = 0, 0
 }
-
-// RAS is a return address stack for call/return pairs in the instrumented
-// kernels. Overflow wraps (oldest entries are lost), as in hardware.
-type RAS struct {
-	stack []uint64
-	top   int
-	depth int
-	hits  uint64
-	miss  uint64
-}
-
-// NewRAS builds a stack with the given depth (default 16).
-func NewRAS(depth int) *RAS {
-	if depth <= 0 {
-		depth = 16
-	}
-	return &RAS{stack: make([]uint64, depth), depth: depth}
-}
-
-// Push records a call's return address.
-func (r *RAS) Push(ret uint64) {
-	r.stack[r.top%r.depth] = ret
-	r.top++
-}
-
-// Pop predicts a return target and checks it; returns true when correct.
-func (r *RAS) Pop(actual uint64) bool {
-	if r.top == 0 {
-		r.miss++
-		return false
-	}
-	r.top--
-	if r.stack[r.top%r.depth] == actual {
-		r.hits++
-		return true
-	}
-	r.miss++
-	return false
-}
-
-// Hits returns correct return predictions.
-func (r *RAS) Hits() uint64 { return r.hits }
-
-// Misses returns incorrect return predictions.
-func (r *RAS) Misses() uint64 { return r.miss }

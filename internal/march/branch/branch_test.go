@@ -163,34 +163,6 @@ func TestBTBDefaultAndClamp(t *testing.T) {
 	}
 }
 
-func TestRAS(t *testing.T) {
-	r := NewRAS(4)
-	r.Push(0x10)
-	r.Push(0x20)
-	if !r.Pop(0x20) || !r.Pop(0x10) {
-		t.Fatal("RAS failed on matched call/return pairs")
-	}
-	if r.Pop(0x30) {
-		t.Fatal("empty RAS pop reported hit")
-	}
-	if r.Hits() != 2 || r.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 2/1", r.Hits(), r.Misses())
-	}
-}
-
-func TestRASOverflowWraps(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites 1
-	if !r.Pop(3) || !r.Pop(2) {
-		t.Fatal("RAS lost recent entries on overflow")
-	}
-	if r.Pop(1) {
-		t.Fatal("RAS kept an entry that overflow destroyed")
-	}
-}
-
 func TestQuickStatsInvariant(t *testing.T) {
 	// branches == number of Record calls; mispredicts <= branches.
 	f := func(seed int64, kindRaw uint8) bool {

@@ -745,57 +745,6 @@ func (e *Engine) LoadStoreRange(base mem.Addr, elem uint64, count int) {
 	e.maybeYield()
 }
 
-// OpKind discriminates batched trace operations.
-type OpKind uint8
-
-// Trace operation kinds.
-const (
-	OpLoad OpKind = iota
-	OpStore
-	OpLoadRange
-	OpStoreRange
-	OpBranch
-	OpPredictable
-	OpOps
-)
-
-// TraceOp is one replayable engine operation. Batching ops lets
-// instrumented kernels hand the engine whole loop bodies at once instead
-// of crossing a call boundary per simulated instruction.
-type TraceOp struct {
-	Kind  OpKind
-	Addr  mem.Addr // Load/Store/ranges
-	Size  uint64   // access size; element size for ranges
-	N     uint64   // range element count, Predictable/Ops amount
-	PC    uint64   // Branch program counter
-	Taken bool     // Branch direction
-}
-
-// AccessBatch replays ops in order. It is semantically identical to
-// issuing the corresponding Engine calls one by one.
-func (e *Engine) AccessBatch(ops []TraceOp) {
-	for idx := range ops {
-		op := &ops[idx]
-		switch op.Kind {
-		case OpLoad:
-			e.access(op.Addr, op.Size, false)
-		case OpStore:
-			e.access(op.Addr, op.Size, true)
-		case OpLoadRange:
-			e.rangeAccess(op.Addr, op.Size, int(op.N), false)
-		case OpStoreRange:
-			e.rangeAccess(op.Addr, op.Size, int(op.N), true)
-		case OpBranch:
-			e.Branch(op.PC, op.Taken)
-		case OpPredictable:
-			e.PredictableBranches(op.N)
-		case OpOps:
-			e.Ops(op.N)
-		}
-		e.maybeYield()
-	}
-}
-
 // Branch simulates one data-dependent conditional branch at pc.
 func (e *Engine) Branch(pc uint64, taken bool) {
 	e.instructions++

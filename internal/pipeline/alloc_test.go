@@ -2,8 +2,8 @@ package pipeline
 
 // Allocation gate for the stream seam: window emission runs once per
 // measured batch for the whole campaign, and in steady state — the
-// streamDepth buffers allocated in the producer prologue circulating
-// through the free ring — it must not allocate.
+// admission slot's preallocated buffers recycled from shard to shard —
+// it must not allocate.
 
 import (
 	"context"
@@ -15,21 +15,11 @@ import (
 	"repro/internal/raceinfo"
 )
 
-// emitFixture builds a shardStream mid-campaign: recycled buffers in
-// the free ring and a measured window ready to emit.
-func emitFixture(batch int) (*shardStream, []march.Event, core.Window) {
+// emitFixture builds an admitted slot mid-campaign: preallocated
+// window buffers and a measured window ready to emit.
+func emitFixture(batch int) (*streamSlot, []march.Event, core.Window) {
 	events := []march.Event{march.EvCacheMisses, march.EvBranches}
-	ss := &shardStream{
-		win:  make(chan core.Window, streamDepth),
-		free: make(chan []hpc.Profile, streamDepth),
-	}
-	for d := 0; d < streamDepth; d++ {
-		buf := make([]hpc.Profile, batch)
-		for i := range buf {
-			buf[i] = make(hpc.Profile, len(events))
-		}
-		ss.free <- buf
-	}
+	ss := newStreamSlot(2, batch, events)
 	scratch := make([]hpc.Profile, batch)
 	for i := range scratch {
 		scratch[i] = hpc.Profile{march.EvCacheMisses: float64(i), march.EvBranches: float64(2 * i)}
@@ -47,8 +37,8 @@ func TestStreamEmitZeroAllocSteadyState(t *testing.T) {
 		if err := ss.emit(ctx, events, w); err != nil {
 			t.Fatal(err)
 		}
-		out := <-ss.win
-		ss.free <- out.Profiles[:cap(out.Profiles)]
+		<-ss.win
+		ss.next = 0
 	}); allocs != 0 {
 		t.Fatalf("stream emit steady state allocates %v/op, want 0", allocs)
 	}
@@ -63,7 +53,7 @@ func BenchmarkStreamEmit(b *testing.B) {
 		if err := ss.emit(ctx, events, w); err != nil {
 			b.Fatal(err)
 		}
-		out := <-ss.win
-		ss.free <- out.Profiles[:cap(out.Profiles)]
+		<-ss.win
+		ss.next = 0
 	}
 }

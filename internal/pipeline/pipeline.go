@@ -228,6 +228,15 @@ func (p *Pipeline) Evaluate(ctx context.Context, name string, factory TargetFact
 // telemetry uses it as the span's thread lane; nothing else may, since
 // which worker runs which job is scheduling-dependent.
 func (p *Pipeline) forEach(ctx context.Context, n int, fn func(ctx context.Context, w, i int) error) error {
+	return p.forEachAdmitted(ctx, n, nil, fn)
+}
+
+// forEachAdmitted is forEach with admission control: job i is handed to
+// a worker only after a token has been taken from admit, in index
+// order, so at most cap(admit) jobs are admitted and not yet released —
+// the caller returns a token per finished job. A nil admit admits every
+// job.
+func (p *Pipeline) forEachAdmitted(ctx context.Context, n int, admit <-chan struct{}, fn func(ctx context.Context, w, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -266,11 +275,19 @@ func (p *Pipeline) forEach(ctx context.Context, n int, fn func(ctx context.Conte
 			}
 		}(w)
 	}
+feed:
 	for i := 0; i < n; i++ {
+		if admit != nil {
+			select {
+			case <-admit:
+			case <-ctx.Done():
+				break feed // stop feeding; workers drain and exit
+			}
+		}
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
-			i = n // stop feeding; workers drain and exit
+			break feed
 		}
 	}
 	close(jobs)

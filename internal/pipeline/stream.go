@@ -4,11 +4,14 @@ package pipeline
 // to an incremental consumer. Collection still fans out over the worker
 // pool — same shard plan, same fresh per-shard targets, same derived
 // seeds as Collect — but instead of buffering whole campaigns, each
-// shard's measured batches flow through a small per-shard channel ring
-// and are handed to the consumer in one deterministic global order:
+// shard's measured batches flow through a recycled window slot and are
+// handed to the consumer in one deterministic global order:
 //
-//	shards ── produce (N workers, emit per measured batch)
-//	              │ per-shard ring, streamDepth windows
+//	shards ── admit (stream order, 2 × N slots)
+//	              │
+//	              ▼
+//	         produce (N workers, emit per measured batch)
+//	              │ slot ring, holds one shard's windows
 //	              ▼
 //	         merge (caller goroutine, stream order) ── consume
 //
@@ -17,9 +20,13 @@ package pipeline
 // class pair grow together instead of one class's full budget first.
 // Window boundaries are the measured batches (Config.Batch runs), so
 // the consumed window sequence depends only on the plan and the batch
-// size: workers=1 and workers=N deliver bit-identical streams. Memory
-// is bounded by workers × streamDepth × Batch profiles, independent of
-// the trace budget.
+// size: workers=1 and workers=N deliver bit-identical streams.
+//
+// A slot's ring holds every window of a shard, so a producer never
+// waits for the merger mid-shard. Instead a shard must be admitted into
+// one of 2 × workers slots before it starts, and its slot returns once
+// the merger has drained it. Memory is therefore bounded by
+// 2 × workers × ShardRuns profiles, independent of the trace budget.
 //
 // The consumer may end the campaign early by returning ErrStop — that
 // cancels the in-flight producers and Stream reports stopped=true — and
@@ -71,36 +78,50 @@ func wrapCancel(stage string, err error) error {
 	return err
 }
 
-// streamDepth is the number of windows buffered per shard stream: the
-// producer may run at most this many measured batches ahead of the
-// merger. 2 keeps producers busy while the merger consumes without
-// growing memory with the budget.
-const streamDepth = 2
+// admitPerWorker × Workers is the number of shards admitted at once:
+// each admitted shard holds a window slot, and each worker may hold one
+// finished but undrained shard while it runs the next. Fewer slots
+// would park a worker behind the head shard; more would only buffer
+// shards the merger is not yet reading.
+const admitPerWorker = 2
 
-// shardStream is one shard's window ring: produced windows flow through
-// win, consumed window buffers return through free for reuse. Both
-// channels hold streamDepth entries, so neither side can run away.
-type shardStream struct {
+// streamSlot is one admitted shard's window ring: produced windows flow
+// through win, each into its own buffer from bufs. Both hold the
+// largest shard's window count, so a producer never waits for the
+// merger mid-shard. A slot passes to a later shard only after the
+// merger has drained this one, so its buffers are recycled, never
+// reallocated.
+type streamSlot struct {
 	win  chan core.Window
-	free chan []hpc.Profile
+	bufs [][]hpc.Profile
+	next int // index into bufs of the shard's next window
 }
 
-// emit hands one measured batch to the merger: it takes a recycled
-// buffer, copies the window's observations into it (the core scratch
-// must not escape the producer), and sends the copy. Cancellation is
-// honored on both the buffer wait and the send, so a stopped campaign
-// never deadlocks a producer.
+// newStreamSlot allocates a slot for windows of up to batch profiles
+// over events.
+func newStreamSlot(windows, batch int, events []march.Event) *streamSlot {
+	s := &streamSlot{win: make(chan core.Window, windows), bufs: make([][]hpc.Profile, windows)}
+	for b := range s.bufs {
+		s.bufs[b] = make([]hpc.Profile, batch)
+		for i := range s.bufs[b] {
+			s.bufs[b][i] = make(hpc.Profile, len(events))
+		}
+	}
+	return s
+}
+
+// emit hands one measured batch to the merger: it copies the window's
+// observations into the slot's next buffer (the core scratch must not
+// escape the producer) and sends the copy. The ring holds every window
+// of the shard, so the send does not wait on the merger; cancellation
+// is still honored, so a stopped campaign never deadlocks a producer.
 //
 //detlint:allocpath — the per-window emission hot path recycles the
-// streamDepth preallocated buffers; nothing on the steady-state path
-// may allocate (BenchmarkStreamEmit pins 0 allocs/op).
-func (ss *shardStream) emit(ctx context.Context, events []march.Event, w core.Window) error {
-	var buf []hpc.Profile
-	select {
-	case buf = <-ss.free:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+// slot's preallocated buffers; nothing on the steady-state path may
+// allocate (BenchmarkStreamEmit pins 0 allocs/op).
+func (s *streamSlot) emit(ctx context.Context, events []march.Event, w core.Window) error {
+	buf := s.bufs[s.next]
+	s.next++
 	for i, p := range w.Profiles {
 		dst := buf[i]
 		for _, e := range events {
@@ -109,35 +130,32 @@ func (ss *shardStream) emit(ctx context.Context, events []march.Event, w core.Wi
 	}
 	w.Profiles = buf[:len(w.Profiles)]
 	select {
-	case ss.win <- w:
+	case s.win <- w:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
+// windowCount is the number of windows a shard emits: one per measured
+// batch, the last one possibly short.
+func windowCount(sh core.Shard, batch int) int {
+	return (sh.Count + batch - 1) / batch
+}
+
 // produceShard runs one shard's collection and emits its windows into
-// the shard's stream. The win channel is always closed on return, so
-// the merger can detect shard completion (or abort) without extra
-// signalling.
-func (p *Pipeline) produceShard(ctx context.Context, w int, ss *shardStream, factory ClassTargetFactory, sh core.Shard) error {
-	defer close(ss.win)
+// the slot the shard was admitted with.
+func (p *Pipeline) produceShard(ctx context.Context, w int, slot *streamSlot, factory ClassTargetFactory, sh core.Shard) error {
 	sp := p.cfg.Obs.ShardSpan(w, sh.Index, sh.Class)
 	defer sp.End()
 	target, err := factory(sh.Class, sh.Seed)
 	if err != nil {
 		return fmt.Errorf("pipeline: shard %d target: %w", sh.Index, err)
 	}
-	cfg := p.ev.Config()
-	for d := 0; d < streamDepth; d++ {
-		buf := make([]hpc.Profile, cfg.Batch)
-		for i := range buf {
-			buf[i] = make(hpc.Profile, len(cfg.Events))
-		}
-		ss.free <- buf
-	}
+	events := p.ev.Config().Events
+	slot.next = 0
 	return p.ev.CollectShardEmit(ctx, target, sh, func(w core.Window) error {
-		return ss.emit(ctx, cfg.Events, w)
+		return slot.emit(ctx, events, w)
 	})
 }
 
@@ -184,59 +202,67 @@ func (p *Pipeline) Stream(ctx context.Context, factory ClassTargetFactory, perCl
 	stage := p.cfg.Obs.Span("pipeline", "stream")
 	defer stage.End()
 	order := streamOrder(shards)
-	streams := make([]*shardStream, len(shards))
-	for i := range streams {
-		streams[i] = &shardStream{
-			win:  make(chan core.Window, streamDepth),
-			free: make(chan []hpc.Profile, streamDepth),
-		}
+
+	// The shard at stream position i is admitted into ring[i%len(ring)].
+	// Admission tokens are taken in stream order before a shard's job is
+	// handed out and returned in stream order once the merger has
+	// drained it, so position i is admitted only after position
+	// i-len(ring) has released the same slot.
+	batch := p.ev.Config().Batch
+	windows := 0
+	for _, sh := range shards {
+		windows = max(windows, windowCount(sh, batch))
+	}
+	ring := make([]*streamSlot, min(admitPerWorker*p.cfg.Workers, len(shards)))
+	admit := make(chan struct{}, len(ring))
+	for i := range ring {
+		ring[i] = newStreamSlot(windows, batch, p.ev.Config().Events)
+		admit <- struct{}{}
 	}
 
 	streamCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Producers are fed to the pool in stream order, so the shards the
-	// merger is waiting on are always the ones being executed: the
-	// merger drains shard k completely before k+1, and jobs are handed
-	// out in exactly that order — no worker can be parked on a shard
-	// the merger won't reach.
+	// Jobs are handed out in stream order, each after its admission, so
+	// the shard the merger is waiting on always holds a slot and is
+	// either running or next in line: the merger drains shard k
+	// completely before k+1, and no worker can be parked on a shard the
+	// merger won't reach. A producer never blocks mid-shard, so a worker
+	// moves on to the next admitted shard while the merger is still
+	// draining an earlier one.
 	collectErr := make(chan error, 1)
 	go func() {
-		err := p.forEach(streamCtx, len(shards), func(ctx context.Context, w, i int) error {
+		err := p.forEachAdmitted(streamCtx, len(shards), admit, func(ctx context.Context, w, i int) error {
 			idx := order[i]
-			if err := p.produceShard(ctx, w, streams[idx], factory, shards[idx]); err != nil {
+			if err := p.produceShard(ctx, w, ring[i%len(ring)], factory, shards[idx]); err != nil {
 				return err
 			}
 			p.cfg.Obs.Add(obs.CShardsDone, 1)
 			return nil
 		})
-		cancel() // wake the merger if producers stopped without closing every stream
+		cancel() // wake the merger if producers stopped before emitting every window
 		collectErr <- err
 	}()
 
 	var consumeErr error
 merge:
-	for _, idx := range order {
-		ss := streams[idx]
-		for {
+	for pos, idx := range order {
+		slot := ring[pos%len(ring)]
+		for n := windowCount(shards[idx], batch); n > 0; n-- {
 			var w core.Window
-			var ok bool
 			select {
-			case w, ok = <-ss.win:
+			case w = <-slot.win:
 			case <-streamCtx.Done():
 				// The context closes on failure or after every producer
 				// returned; completed shards' remaining windows are
 				// already buffered, so a non-blocking drain loses
-				// nothing — an empty, unclosed stream means its
-				// producer never ran.
+				// nothing — an empty slot means its producer never
+				// finished.
 				select {
-				case w, ok = <-ss.win:
+				case w = <-slot.win:
 				default:
 					break merge
 				}
-			}
-			if !ok {
-				continue merge
 			}
 			if cerr := consume(w); cerr != nil {
 				if errors.Is(cerr, ErrStop) {
@@ -247,8 +273,8 @@ merge:
 				cancel()
 				break merge
 			}
-			ss.free <- w.Profiles[:cap(w.Profiles)]
 		}
+		admit <- struct{}{}
 	}
 
 	cErr := <-collectErr

@@ -5,9 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 // classFactory adapts the test TargetFactory to the class-aware form
@@ -195,5 +201,155 @@ func TestStreamCancellationTyped(t *testing.T) {
 	}
 	if c.Stage == "" {
 		t.Fatal("Cancelled.Stage empty")
+	}
+}
+
+// gatedTarget runs gate before every classification, so a test can
+// hold one shard mid-collection.
+type gatedTarget struct {
+	core.Target
+	gate func()
+}
+
+func (g *gatedTarget) Classify(img *tensor.Tensor) (int, error) {
+	g.gate()
+	return g.Target.Classify(img)
+}
+
+// heldStream is a stream campaign — 3 classes × 3 shards of 4 runs,
+// batch 1, so 4 windows per shard — whose head shard (the first in
+// stream order) blocks in its first classification until release.
+type heldStream struct {
+	p       *Pipeline
+	pools   map[int][]*tensor.Tensor
+	rec     *obs.Recorder // core telemetry: windows emitted
+	factory ClassTargetFactory
+	started atomic.Int64 // shards whose target was built
+	release func()
+}
+
+func newHeldStream(t *testing.T, workers int) *heldStream {
+	t.Helper()
+	h := &heldStream{rec: obs.New(obs.Config{}), pools: testPools(3, 3)}
+	h.p = newPipeline(t, core.Config{RunsPerClass: 12, WarmupRuns: 1, Batch: 1, Obs: h.rec}, Config{Workers: workers, ShardRuns: 4})
+	shards, err := h.p.planShards(h.pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := shards[streamOrder(shards)[0]]
+	released := make(chan struct{})
+	h.release = sync.OnceFunc(func() { close(released) })
+	t.Cleanup(h.release)
+	base := classFactory(t, testFactory(t, testNet(t)))
+	h.factory = func(class int, seed int64) (core.Target, error) {
+		h.started.Add(1)
+		tgt, err := base(class, seed)
+		if err != nil || class != head.Class || seed != head.Seed {
+			return tgt, err
+		}
+		return &gatedTarget{Target: tgt, gate: func() { <-released }}, nil
+	}
+	return h
+}
+
+// stream runs the campaign in the background; the returned channel
+// yields Stream's error.
+func (h *heldStream) stream(consume func(core.Window) error) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.p.Stream(context.Background(), h.factory, h.pools, consume)
+		done <- err
+	}()
+	return done
+}
+
+// waitUntil polls cond until it holds or d elapses.
+func waitUntil(d time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// finish waits for a background stream, failing instead of hanging.
+func finish(t *testing.T, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream did not return")
+	}
+}
+
+// TestStreamProducerOverlapsHeadShard: while the merger waits on the
+// head shard, the next shard's producer must run to completion instead
+// of stalling on the merger after a few windows — otherwise collection
+// degrades to one shard at a time.
+func TestStreamProducerOverlapsHeadShard(t *testing.T) {
+	h := newHeldStream(t, 2)
+	done := h.stream(func(core.Window) error { return nil })
+	const want = 4 // the next shard's windows
+	waitUntil(5*time.Second, func() bool { return h.rec.Get(obs.CWindowsEmitted) >= want })
+	emitted := h.rec.Get(obs.CWindowsEmitted)
+	h.release()
+	finish(t, done)
+	if emitted < want {
+		t.Fatalf("next shard emitted %d of %d windows while the head shard ran", emitted, want)
+	}
+}
+
+// TestStreamAdmissionBound: with the head shard held, exactly
+// admitPerWorker × Workers shards start — every slot fills, and no
+// shard starts beyond them, so buffered windows stay bounded.
+func TestStreamAdmissionBound(t *testing.T) {
+	const workers = 2
+	h := newHeldStream(t, workers)
+	done := h.stream(func(core.Window) error { return nil })
+	limit := int64(admitPerWorker * workers)
+	waitUntil(5*time.Second, func() bool { return h.started.Load() >= limit })
+	time.Sleep(50 * time.Millisecond) // give an unbounded feeder time to overrun
+	started := h.started.Load()
+	h.release()
+	finish(t, done)
+	if started != limit {
+		t.Fatalf("%d shards started while the head shard was held, want %d", started, limit)
+	}
+}
+
+// TestStreamEarlyStopWithFullRings: ErrStop while every admitted
+// shard's windows sit buffered returns promptly and leaves no producer
+// goroutine behind.
+func TestStreamEarlyStopWithFullRings(t *testing.T) {
+	const workers = 2
+	h := newHeldStream(t, workers)
+	h.release() // no held shard: the consumer holds the head instead
+	baseline := runtime.NumGoroutine()
+	full := int64(admitPerWorker * workers * 4) // every slot holds a whole shard
+	var emitted int64
+	done := make(chan error, 1)
+	go func() {
+		stopped, err := h.p.Stream(context.Background(), h.factory, h.pools, func(core.Window) error {
+			waitUntil(5*time.Second, func() bool { return h.rec.Get(obs.CWindowsEmitted) >= full })
+			emitted = h.rec.Get(obs.CWindowsEmitted)
+			return ErrStop
+		})
+		if err == nil && !stopped {
+			err = errors.New("ErrStop did not report stopped")
+		}
+		done <- err
+	}()
+	finish(t, done)
+	if emitted != full {
+		t.Fatalf("rings held %d windows at the stop, want %d", emitted, full)
+	}
+	if !waitUntil(2*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
+		t.Fatalf("%d goroutines after the stop, %d before", runtime.NumGoroutine(), baseline)
 	}
 }
