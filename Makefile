@@ -13,10 +13,11 @@
 GO ?= go
 
 # PR number stamped into the benchmark trajectory snapshot.
-BENCH_PR ?= 13
+BENCH_PR ?= 15
 BENCH_JSON ?= BENCH_PR$(BENCH_PR).json
-# Key micro/campaign benches tracked across PRs.
-BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream|BenchmarkTrainMNIST
+# Key micro/campaign benches tracked across PRs (BenchmarkConvKernels
+# lives in internal/tensor, the rest in the root package).
+BENCH_KEY = BenchmarkClassifyMNIST$$|BenchmarkClassifyBatch|BenchmarkCacheAccess$$|BenchmarkEngineLoadHot$$|BenchmarkEngineLoadRange$$|BenchmarkBranchPredict$$|BenchmarkPMUMeasure$$|BenchmarkAttackStage|BenchmarkArchIDStage|BenchmarkTopoStage|BenchmarkMonitorStream|BenchmarkTrainMNIST|BenchmarkNewScenarioMNIST|BenchmarkConvKernels
 
 .PHONY: all build vet lint test race bench bench-json allocgate benchsmoke fuzzsmoke fabricsmoke batchsmoke streamsmoke obssmoke ci golden
 
@@ -54,7 +55,7 @@ bench:
 # Snapshot the key benches into the perf trajectory file for this PR.
 # Commit the result so the trajectory BENCH_*.json series stays populated.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_KEY)' -benchmem -benchtime=2s . \
+	$(GO) test -run '^$$' -bench '$(BENCH_KEY)' -benchmem -benchtime=2s . ./internal/tensor \
 		| $(GO) run ./cmd/benchjson -pr $(BENCH_PR) > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 

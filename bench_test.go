@@ -781,6 +781,19 @@ func BenchmarkTrainMNIST(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(inputs))/b.Elapsed().Seconds(), "samples/s")
 }
 
+// BenchmarkNewScenarioMNIST measures what every campaign pays before its
+// first trace: building the default MNIST scenario, that is generating
+// the synthetic dataset, training the victim on it (2 epochs of 1200
+// samples on min(GOMAXPROCS, 16) workers), scoring it on the test split
+// and deploying it on the simulated core.
+func BenchmarkNewScenarioMNIST(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewScenario(ScenarioConfig{Dataset: DatasetMNIST}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMonitorStream runs the streaming leakage monitor — windowed
 // collection through the stream seam, sequential tests under the
 // alpha-spending boundary — against the shared MNIST scenario. The

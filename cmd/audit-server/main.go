@@ -19,6 +19,10 @@
 //
 // Every report is byte-reproducible: a campaign's bytes depend only on
 // its request, never on the queue around it or the process count.
+//
+// SIGINT or SIGTERM stops the server gracefully: it stops accepting
+// connections, lets in-flight requests finish, then runs every queued
+// campaign to completion before it exits.
 package main
 
 import (
@@ -27,7 +31,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro"
 	"repro/internal/hpc"
@@ -46,14 +55,54 @@ func main() {
 	)
 	flag.Parse()
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fc := repro.FabricConfig{WorkerBin: *workerBin, Journal: *journal, TCP: *fabricTCP}
 	s := newServer(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
 		return runCampaign(ctx, req, *processes, fc, rec)
 	})
-	defer s.Close()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	log.Printf("listening on %s (processes=%d)", ln.Addr(), *processes)
+	if err := serve(ctx, ln, s); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	log.Printf("listening on %s (processes=%d)", *addr, *processes)
-	log.Fatal(http.ListenAndServe(*addr, s.handler()))
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so an idle connection cannot hold a slot forever.
+	readHeaderTimeout = 10 * time.Second
+	// shutdownGrace bounds how long a stopping server waits for
+	// in-flight requests before it closes their connections.
+	shutdownGrace = 30 * time.Second
+)
+
+// serve answers HTTP on ln until ctx is done or serving fails. Either
+// way it then shuts the front-end down, waiting up to shutdownGrace for
+// in-flight requests, and closes s, which runs every queued campaign to
+// completion.
+func serve(ctx context.Context, ln net.Listener, s *server) error {
+	hs := &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	var err error
+	select {
+	case err = <-errc:
+		hs.Close()
+	case <-ctx.Done():
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		if err = hs.Shutdown(sctx); err != nil {
+			hs.Close()
+			err = fmt.Errorf("shutting down: %w", err)
+		}
+		<-errc // http.ErrServerClosed
+	}
+	s.Close()
+	return err
 }
 
 // runCampaign executes one queued request with the real repro stages,

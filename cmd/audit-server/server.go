@@ -5,9 +5,12 @@ package main
 // function instead of multi-minute real campaigns.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -110,6 +113,10 @@ type server struct {
 // the running one; a POST beyond it is refused with 503.
 const queueDepth = 1024
 
+// maxRequestBytes caps a POST /campaigns body; a larger one is refused
+// with 413. Real requests are a few hundred bytes.
+const maxRequestBytes = 1 << 20
+
 func newServer(run runFunc) *server {
 	return newServerWithClock(run, obs.SystemClock())
 }
@@ -206,8 +213,20 @@ func (s *server) handler() http.Handler {
 func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
+		// The whole body is read under the cap, so whitespace padding
+		// after the JSON value counts against it too.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				httpError(w, http.StatusRequestEntityTooLarge, "campaign request exceeds %d bytes", maxRequestBytes)
+				return
+			}
+			httpError(w, http.StatusBadRequest, "reading campaign request: %v", err)
+			return
+		}
 		var req CampaignRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "decoding campaign request: %v", err)

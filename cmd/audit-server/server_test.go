@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -474,5 +475,97 @@ func TestServerRefusesAfterClose(t *testing.T) {
 	// drain would be lost; every accepted campaign must have run.
 	if ran.Load() != accepted.Load() {
 		t.Fatalf("%d campaigns accepted, %d ran", accepted.Load(), ran.Load())
+	}
+}
+
+// TestServerCapsRequestBody: POST /campaigns reads at most
+// maxRequestBytes. A valid request padded past the cap with whitespace,
+// before or after the JSON value, is refused with 413 and never queued;
+// a padded request that fits is still accepted.
+func TestServerCapsRequestBody(t *testing.T) {
+	s, ts := newTestServer(t, func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		return json.RawMessage(`{}`), nil
+	})
+	pad := func(n int) string { return strings.Repeat(" ", n) }
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"fits exactly", validBody + pad(maxRequestBytes-len(validBody)), http.StatusAccepted},
+		{"trailing padding", validBody + pad(maxRequestBytes), http.StatusRequestEntityTooLarge},
+		{"leading padding", pad(maxRequestBytes) + validBody, http.StatusRequestEntityTooLarge},
+		{"one byte over", validBody + pad(maxRequestBytes-len(validBody)+1), http.StatusRequestEntityTooLarge},
+	} {
+		resp := postCampaign(t, ts, tc.body)
+		var body map[string]any
+		decodeBody(t, resp, &body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: POST of %d bytes: status %d (%v), want %d", tc.name, len(tc.body), resp.StatusCode, body, tc.want)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d campaigns queued, want 1: an oversized request must not be queued", n)
+	}
+}
+
+// TestServeShutsDownGracefully: when serve's context ends it stops
+// accepting connections, and it returns only after every queued
+// campaign, including one still running, has finished.
+func TestServeShutsDownGracefully(t *testing.T) {
+	release := make(chan struct{})
+	var ran atomic.Int64
+	s := newServer(func(ctx context.Context, req CampaignRequest, rec *obs.Recorder) (json.RawMessage, error) {
+		<-release
+		ran.Add(1)
+		return json.RawMessage(`{}`), nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, ln, s) }()
+
+	url := "http://" + ln.Addr().String()
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(url+"/campaigns", "application/json", strings.NewReader(validBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %d: status %d", i, resp.StatusCode)
+		}
+	}
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("server still accepts connections after its context ended")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve did not return after shutdown")
+	}
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("serve returned with %d of 2 queued campaigns run", n)
 	}
 }

@@ -183,39 +183,66 @@ func digitImage(cls int, rng *rand.Rand, noise float64) *tensor.Tensor {
 	return img
 }
 
-// drawLine stamps an anti-aliased thick segment into a 28×28×1 image.
-// Endpoints are finite by construction (stroke-table literals jittered by
+// drawLine stamps an anti-aliased thick segment into a 28×28×1 image: at
+// each of its steps a disc of offsets around the rounded centre, each
+// offset's pixel raised to the stamp's weight there. Endpoints and
+// thickness are finite by construction (stroke-table literals jittered by
 // bounded rng draws); the guard pins that invariant at the boundary so
 // the int(float) conversions below never see NaN/Inf.
 func drawLine(img *tensor.Tensor, x0, y0, x1, y1, thick float64) {
-	if math.IsNaN(x0) || math.IsNaN(y0) || math.IsNaN(x1) || math.IsNaN(y1) ||
-		math.IsInf(x0, 0) || math.IsInf(y0, 0) || math.IsInf(x1, 0) || math.IsInf(y1, 0) {
+	if math.IsNaN(x0) || math.IsNaN(y0) || math.IsNaN(x1) || math.IsNaN(y1) || math.IsNaN(thick) ||
+		math.IsInf(x0, 0) || math.IsInf(y0, 0) || math.IsInf(x1, 0) || math.IsInf(y1, 0) || math.IsInf(thick, 0) {
 		return
+	}
+	// Offsets run over [-r, r] on both axes. The weight at an offset
+	// depends only on its absolute coordinates, and only those below 28
+	// can land on the image from a centre on it, so they come from a table
+	// filled once per call; a centre off the image computes the rest.
+	r := int(math.Ceil(thick))
+	var tab [28 * 28]float32
+	for ay := 0; ay <= min(r, 27); ay++ {
+		for ax := 0; ax <= min(r, 27); ax++ {
+			tab[ay*28+ax] = stampWeight(ax, ay, thick)
+		}
 	}
 	steps := int(math.Hypot(x1-x0, y1-y0)*2) + 1
 	for s := 0; s <= steps; s++ {
 		t := float64(s) / float64(steps)
-		cx, cy := x0+(x1-x0)*t, y0+(y1-y0)*t
-		lo := int(math.Floor(-thick))
-		hi := int(math.Ceil(thick))
-		for oy := lo; oy <= hi; oy++ {
-			for ox := lo; ox <= hi; ox++ {
-				px, py := int(math.Round(cx))+ox, int(math.Round(cy))+oy
-				if px < 0 || px >= 28 || py < 0 || py >= 28 {
-					continue
+		cx, cy := int(math.Round(x0+(x1-x0)*t)), int(math.Round(y0+(y1-y0)*t))
+		for oy := max(-r, -cy); oy <= min(r, 27-cy); oy++ {
+			row := img.Data[(cy+oy)*28 : (cy+oy+1)*28]
+			for ox := max(-r, -cx); ox <= min(r, 27-cx); ox++ {
+				ax, ay := abs(ox), abs(oy)
+				var v float32
+				if ax < 28 && ay < 28 {
+					v = tab[ay*28+ax]
+				} else {
+					v = stampWeight(ax, ay, thick)
 				}
-				d := math.Hypot(float64(ox), float64(oy))
-				v := 1.0 - d/(thick+0.5)
-				if v <= 0 {
-					continue
-				}
-				idx := (py*28 + px)
-				if float32(v) > img.Data[idx] {
-					img.Data[idx] = float32(v)
+				if v > row[cx+ox] {
+					row[cx+ox] = v
 				}
 			}
 		}
 	}
+}
+
+// stampWeight is drawLine's stamp at offset (ax, ay) from its centre:
+// 1 − |offset|/(thick+0.5) where that is positive, and −Inf, which raises
+// no pixel, where it is not.
+func stampWeight(ax, ay int, thick float64) float32 {
+	v := 1.0 - math.Hypot(float64(ax), float64(ay))/(thick+0.5)
+	if v <= 0 {
+		return float32(math.Inf(-1))
+	}
+	return float32(v)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // textureImage renders one jittered 32×32×3 procedural texture for a class.

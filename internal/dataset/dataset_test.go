@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +244,93 @@ func TestDrawLineFiniteStillDraws(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Fatal("drawLine(finite endpoints) drew nothing")
+	}
+}
+
+// TestMNISTLikeDefaultPixelsDigest pins the bytes of the default MNIST
+// scenario's splits (120 train and 60 test samples per class, seed 1):
+// each sample's label and pixel bits, train split then test split. The
+// victim every golden runs on is trained on exactly these pixels, so a
+// glyph renderer that moves one bit fails here before it fails a golden.
+func TestMNISTLikeDefaultPixelsDigest(t *testing.T) {
+	train, test, err := MNISTLike(Config{PerClassTrain: 120, PerClassTest: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [4]byte
+	for _, set := range []*Set{train, test} {
+		for _, sm := range set.Samples {
+			binary.LittleEndian.PutUint32(b[:], uint32(sm.Label))
+			h.Write(b[:])
+			for _, v := range sm.Image.Data {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	const want = "89df5837cfd6df3c14ce1661d02e2e94dc0c2600e79e583816ac251340d217b3"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("default MNIST-like pixel digest %s, want %s", got, want)
+	}
+}
+
+// refDrawLine is drawLine as first written: every pixel of every stamp
+// recomputes its offset's weight and the rounded centre.
+func refDrawLine(img *tensor.Tensor, x0, y0, x1, y1, thick float64) {
+	steps := int(math.Hypot(x1-x0, y1-y0)*2) + 1
+	for s := 0; s <= steps; s++ {
+		t := float64(s) / float64(steps)
+		cx, cy := x0+(x1-x0)*t, y0+(y1-y0)*t
+		lo := int(math.Floor(-thick))
+		hi := int(math.Ceil(thick))
+		for oy := lo; oy <= hi; oy++ {
+			for ox := lo; ox <= hi; ox++ {
+				px, py := int(math.Round(cx))+ox, int(math.Round(cy))+oy
+				if px < 0 || px >= 28 || py < 0 || py >= 28 {
+					continue
+				}
+				d := math.Hypot(float64(ox), float64(oy))
+				v := 1.0 - d/(thick+0.5)
+				if v <= 0 {
+					continue
+				}
+				idx := (py*28 + px)
+				if float32(v) > img.Data[idx] {
+					img.Data[idx] = float32(v)
+				}
+			}
+		}
+	}
+}
+
+// TestDrawLineMatchesReference compares drawLine with the per-pixel
+// reference bit for bit over random segments on and off the image, at
+// the glyph thicknesses and well beyond them: thin, zero and negative
+// strokes, and strokes wider than the image whose centres lie outside it.
+func TestDrawLineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	thicks := []float64{-1.5, -1, -0.7, -0.5, -0.2, 0, 0.3, 1, 1.25, 1.8, 2, 3.7, 12, 27, 27.5, 31, 45}
+	for trial := 0; trial < 400; trial++ {
+		span := 28.0
+		if trial%4 == 0 {
+			span = 120 // centres well off the image
+		}
+		c := [4]float64{}
+		for i := range c {
+			c[i] = rng.Float64()*span - (span-28)/2
+		}
+		thick := thicks[trial%len(thicks)]
+		if trial%3 == 0 {
+			thick += rng.Float64()
+		}
+		got, want := tensor.New(28, 28, 1), tensor.New(28, 28, 1)
+		drawLine(got, c[0], c[1], c[2], c[3], thick)
+		refDrawLine(want, c[0], c[1], c[2], c[3], thick)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("drawLine(%v, thick %v) pixel %d = %v, reference %v", c, thick, i, got.Data[i], want.Data[i])
+			}
+		}
 	}
 }

@@ -333,7 +333,7 @@ func (d *Dense) replica() Layer {
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	shape    []int
-	mask     []bool
+	keep     []uint32 // per element: all ones where the last input passed, else 0
 	out, dIn *tensor.Tensor
 }
 
@@ -348,36 +348,38 @@ func (r *ReLU) Name() string { return "relu" }
 // OutShape implements Layer.
 func (r *ReLU) OutShape() []int { return r.shape }
 
-// Forward implements Layer.
+// Forward implements Layer. An element passes, bits and all, unless it is
+// below zero, so −0 and NaN pass too; an element below zero becomes +0.
+// Activations change sign unpredictably, so the loop has no jump: the
+// comparison compiles to a flag set, and the element's bits are masked.
 func (r *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	r.out = like(r.out, in)
-	if len(r.mask) != len(in.Data) {
-		r.mask = make([]bool, len(in.Data))
+	if len(r.keep) != len(in.Data) {
+		r.keep = make([]uint32, len(in.Data))
 	}
+	out, keep := r.out.Data[:len(in.Data)], r.keep[:len(in.Data)]
 	for i, v := range in.Data {
+		var neg uint32
 		if v < 0 {
-			r.out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.out.Data[i] = v
-			r.mask[i] = true
+			neg = 1
 		}
+		m := neg - 1
+		keep[i] = m
+		out[i] = math.Float32frombits(math.Float32bits(v) & m)
 	}
 	return r.out, nil
 }
 
-// InputGrad implements Layer.
+// InputGrad implements Layer: the gradient passes where the input did and
+// is +0 elsewhere.
 func (r *ReLU) InputGrad(gradOut *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(r.mask) != gradOut.Len() {
+	if len(r.keep) != gradOut.Len() {
 		return nil, fmt.Errorf("nn: relu gradient before Forward or shape changed")
 	}
 	r.dIn = like(r.dIn, gradOut)
+	dIn, keep := r.dIn.Data[:len(gradOut.Data)], r.keep[:len(gradOut.Data)]
 	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			r.dIn.Data[i] = v
-		} else {
-			r.dIn.Data[i] = 0
-		}
+		dIn[i] = math.Float32frombits(math.Float32bits(v) & keep[i])
 	}
 	return r.dIn, nil
 }

@@ -16,11 +16,6 @@ type MLPArch struct {
 	Classes       int
 }
 
-// MNISTMLPArch is a two-hidden-layer MLP for 28×28×1 images.
-func MNISTMLPArch() MLPArch {
-	return MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}
-}
-
 // BuildMLP constructs the network for an MLP architecture.
 func BuildMLP(a MLPArch, rng *rand.Rand) (*Network, error) {
 	if a.Classes <= 1 {

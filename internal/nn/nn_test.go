@@ -361,6 +361,45 @@ func TestQuickReLUBackwardMask(t *testing.T) {
 	}
 }
 
+// TestReLUBitIdentical pins ReLU to the branching loop it replaced: an
+// element passes, bits and all, unless v < 0, so −0 and NaNs of either
+// sign pass; a negative element and its gradient become +0.
+func TestReLUBitIdentical(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 1e-45, -1e-45,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002), math.Float32frombits(0xff800003),
+	}
+	rng := rand.New(rand.NewSource(19))
+	n := 4 * len(specials)
+	in, g := tensor.New(n), tensor.New(n)
+	for i := range in.Data {
+		in.Data[i] = specials[i%len(specials)]
+		g.Data[i] = specials[rng.Intn(len(specials))]
+	}
+	r := NewReLU([]int{n})
+	out, err := r.Forward(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dIn, err := r.InputGrad(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range in.Data {
+		wantOut, wantGrad := v, g.Data[i]
+		if v < 0 {
+			wantOut, wantGrad = 0, 0
+		}
+		if math.Float32bits(out.Data[i]) != math.Float32bits(wantOut) {
+			t.Fatalf("Forward(%v) = %#08x, want %#08x", v, math.Float32bits(out.Data[i]), math.Float32bits(wantOut))
+		}
+		if math.Float32bits(dIn.Data[i]) != math.Float32bits(wantGrad) {
+			t.Fatalf("InputGrad(%v) at input %v = %#08x, want %#08x", g.Data[i], v, math.Float32bits(dIn.Data[i]), math.Float32bits(wantGrad))
+		}
+	}
+}
+
 func TestQuickPoolBackwardConservesMass(t *testing.T) {
 	// Sum of pooled-gradient scatter equals sum of incoming gradient.
 	f := func(seed int64) bool {
@@ -394,7 +433,7 @@ func TestQuickPoolBackwardConservesMass(t *testing.T) {
 }
 
 func TestBuildMLP(t *testing.T) {
-	n, err := BuildMLP(MNISTMLPArch(), testRNG())
+	n, err := BuildMLP(MLPArch{Name: "mnist-mlp", InH: 28, InW: 28, InC: 1, Hidden: []int{128, 64}, Classes: 10}, testRNG())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/raceinfo"
 	"repro/internal/tensor"
 )
@@ -223,5 +224,32 @@ func TestTrainConverges(t *testing.T) {
 	}
 	if lastLoss > 0.4 {
 		t.Fatalf("final loss = %v, did not converge", lastLoss)
+	}
+}
+
+// TestCIFARTrainDigest pins a small CIFAR-architecture training run: the
+// 3-channel, 16/32-filter conv paths the MNIST goldens never reach. Three
+// samples per class train for one epoch with the CIFAR scenario's SGD
+// settings, and the saved model's SHA-256 must not move.
+func TestCIFARTrainDigest(t *testing.T) {
+	train, _, err := dataset.CIFARLike(dataset.Config{PerClassTrain: 3, PerClassTest: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := CIFARArch()
+	net, err := Build(arch, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Train(net, train.Inputs(), train.Labels(), TrainConfig{
+		Epochs: 1, BatchSize: 16, LR: 0.01, Momentum: 0.9, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(saveBytes(t, arch, net))
+	const want = "13872e67cadec10cc063b85362b1f1e0311617e164e87fa21d3b23e3c62303a4"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("CIFAR training digest %s, want %s", got, want)
 	}
 }

@@ -22,24 +22,117 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 }
 
 // MatMulInto computes dst = a·b with raw slices; dst must have length m*n.
-// The loop order (i,k,j) keeps the inner loop streaming over b and dst rows,
-// which matters for the pure-Go training speed.
+// Each output starts at +0 and adds a[i][p]·b[p][j] over p in ascending
+// order, skipping the p where a[i][p] is zero: a conv layer's sparse
+// activations skip most of their products, and the skip is part of the
+// result, since 0·Inf would be NaN.
 func MatMulInto(dst, a, b []float32, m, k, n int) {
 	if len(dst) != m*n || len(a) != m*k || len(b) != k*n {
 		panic(fmt.Sprintf("tensor: MatMulInto size mismatch m=%d k=%d n=%d (dst=%d a=%d b=%d)", m, k, n, len(dst), len(a), len(b)))
 	}
-	clear(dst)
+	if k == 0 {
+		clear(dst)
+		return
+	}
+	var g gathered
 	for i := 0; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		dr := dst[i*n : (i+1)*n]
-		for p, av := range ar {
-			if av == 0 {
-				continue
+		mulRow(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], 1, b, n, &g)
+	}
+}
+
+// gatherMax is how many entries of a row mulRow gathers at a time.
+const gatherMax = 256
+
+// gathered is one chunk of a row's nonzero entries: each value and the
+// offset in b of the row it multiplies.
+type gathered struct {
+	vals [gatherMax]float32
+	offs [gatherMax]int
+}
+
+// mulRow sets dr[j] to the sum over p of ar[p*stride]·b[p*n+j], taken in
+// ascending p over the nonzero ar[p*stride] and starting at +0. It is one
+// output row of MatMulInto (stride 1) and of MatMulTransA (stride m, a
+// column of a); ar is not empty.
+//
+// The row's nonzero entries are first gathered into g, a chunk at a time
+// and without a branch per entry: whether an activation is zero is close
+// to random, so a branch on it is often mispredicted. Then dot8 sums
+// eight outputs at a time in registers over the gathered entries. That
+// performs each output's float32 operations in the same order as
+// accumulating in dst, so every non-NaN result has the same bits. Only
+// the payload of a NaN depends on which operand of an add the compiler
+// puts first, so a block whose sum is NaN, and the last n mod 8 columns,
+// are summed in dst the way the plain (i,p,j) loop does.
+func mulRow(dr, ar []float32, stride int, b []float32, n int, g *gathered) {
+	n8 := n &^ 7
+	for c := 0; c < len(ar) && n8 > 0; c += gatherMax * stride {
+		end := min(len(ar), c+gatherMax*stride)
+		vals, offs := g.gather(ar[c:end], stride, c/stride*n, n)
+		for j := 0; j < n8; j += 8 {
+			d := (*[8]float32)(dr[j : j+8])
+			if c == 0 {
+				*d = [8]float32{}
 			}
-			br := b[p*n : (p+1)*n]
-			for j, bv := range br {
-				dr[j] += av * bv
+			dot8(d, vals, offs, b[j:])
+			if x := d[0] + d[1] + d[2] + d[3] + d[4] + d[5] + d[6] + d[7]; end == len(ar) && x != x {
+				mulRowInPlace(d[:], ar, stride, b[j:], n)
 			}
+		}
+	}
+	if n8 < n {
+		mulRowInPlace(dr[n8:], ar, stride, b[n8:], n)
+	}
+}
+
+// gather collects the nonzero entries among ar[0], ar[stride], … into g,
+// with bo, bo+n, … as their offsets in b, and returns them. It takes at
+// most gatherMax entries.
+func (g *gathered) gather(ar []float32, stride, bo, n int) ([]float32, []int) {
+	cnt := 0
+	for ai := 0; ai < len(ar); ai += stride {
+		av := ar[ai]
+		g.vals[cnt], g.offs[cnt] = av, bo
+		if av != 0 {
+			cnt++
+		}
+		bo += n
+	}
+	return g.vals[:cnt], g.offs[:cnt]
+}
+
+// dot8 adds vals[q]·b[offs[q]+0 … offs[q]+7] to d[0 … 7], q ascending,
+// summing in registers. Indexing b one element at a time keeps each
+// product next to its add; through an 8-element subslice the compiler
+// computes all eight products first and runs out of registers.
+func dot8(d *[8]float32, vals []float32, offs []int, b []float32) {
+	s0, s1, s2, s3, s4, s5, s6, s7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+	offs = offs[:len(vals)]
+	for q, av := range vals {
+		bo := offs[q]
+		s0 += av * b[bo]
+		s1 += av * b[bo+1]
+		s2 += av * b[bo+2]
+		s3 += av * b[bo+3]
+		s4 += av * b[bo+4]
+		s5 += av * b[bo+5]
+		s6 += av * b[bo+6]
+		s7 += av * b[bo+7]
+	}
+	d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// mulRowInPlace is mulRow as the plain loop: accumulating in dr itself,
+// with a branch per entry.
+func mulRowInPlace(dr, ar []float32, stride int, b []float32, n int) {
+	clear(dr)
+	for ai, bo := 0, 0; ai < len(ar); ai, bo = ai+stride, bo+n {
+		av := ar[ai]
+		if av == 0 {
+			continue
+		}
+		for j, bv := range b[bo : bo+len(dr)] {
+			dr[j] += av * bv
 		}
 	}
 }
@@ -84,23 +177,18 @@ func MatMulTransB(dst, a, b []float32, m, k, n int) {
 }
 
 // MatMulTransA computes dst = aᵀ·b for a (k×m) and b (k×n); dst length m*n.
+// Each output sums over p like MatMulInto's, skipping zero a[p][i].
 func MatMulTransA(dst, a, b []float32, m, k, n int) {
 	if len(dst) != m*n || len(a) != k*m || len(b) != k*n {
 		panic(fmt.Sprintf("tensor: MatMulTransA size mismatch m=%d k=%d n=%d", m, k, n))
 	}
-	clear(dst)
-	for p := 0; p < k; p++ {
-		ar := a[p*m : (p+1)*m]
-		br := b[p*n : (p+1)*n]
-		for i, av := range ar {
-			if av == 0 {
-				continue
-			}
-			dr := dst[i*n : (i+1)*n]
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
-		}
+	if k == 0 {
+		clear(dst)
+		return
+	}
+	var g gathered
+	for i := 0; i < m; i++ {
+		mulRow(dst[i*n:(i+1)*n], a[i:], m, b, n, &g)
 	}
 }
 
@@ -135,6 +223,8 @@ func (g ConvGeom) Validate() error {
 // Im2Col expands input (HWC, shape {InH,InW,InC}) into a matrix of shape
 // {OutH*OutW, K*K*InC} so convolution becomes a matmul with the filter
 // matrix {K*K*InC, OutC}. Out-of-bounds (padding) elements are zero.
+// In HWC layout each kernel row of the input is one contiguous run of
+// K*InC elements, so a row that lies wholly inside the input is one copy.
 func Im2Col(dst []float32, in []float32, g ConvGeom) {
 	oh, ow := g.OutH(), g.OutW()
 	cols := g.K * g.K * g.InC
@@ -144,23 +234,30 @@ func Im2Col(dst []float32, in []float32, g ConvGeom) {
 	if len(in) != g.InH*g.InW*g.InC {
 		panic(fmt.Sprintf("tensor: Im2Col input length %d, want %d", len(in), g.InH*g.InW*g.InC))
 	}
+	run := g.K * g.InC
 	di := 0
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
+			ix0 := ox*g.Stride - g.Pad
+			colsIn := ix0 >= 0 && ix0+g.K <= g.InW
 			for ky := 0; ky < g.K; ky++ {
 				iy := oy*g.Stride + ky - g.Pad
+				d := dst[di : di+run]
+				di += run
+				if colsIn && iy >= 0 && iy < g.InH {
+					src := (iy*g.InW + ix0) * g.InC
+					copy(d, in[src:src+run])
+					continue
+				}
 				for kx := 0; kx < g.K; kx++ {
-					ix := ox*g.Stride + kx - g.Pad
+					ix := ix0 + kx
+					dk := d[kx*g.InC : (kx+1)*g.InC]
 					if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
-						for c := 0; c < g.InC; c++ {
-							dst[di] = 0
-							di++
-						}
+						clear(dk)
 						continue
 					}
 					src := (iy*g.InW + ix) * g.InC
-					copy(dst[di:di+g.InC], in[src:src+g.InC])
-					di += g.InC
+					copy(dk, in[src:src+g.InC])
 				}
 			}
 		}
@@ -259,23 +356,38 @@ func MaxPool2Into(out *Tensor, arg []int32, in *Tensor) error {
 	if out.Rank() != 3 || out.Shape[0] != oh || out.Shape[1] != ow || out.Shape[2] != c || len(arg) != out.Len() {
 		return fmt.Errorf("tensor: MaxPool2Into buffers %v/%d do not fit input %v", out.Shape, len(arg), in.Shape)
 	}
+	// Each window is four runs of c channels: two adjacent pixels of input
+	// row 2·oy and the two below them in row 2·oy+1. The top-left value is
+	// the first candidate and the other three follow in row-major order,
+	// each winning only when strictly greater, so a tie keeps the earlier
+	// index and a NaN after the first never wins.
+	rowLen := w * c
 	for oy := 0; oy < oh; oy++ {
+		top := (2 * oy) * rowLen
+		r0 := in.Data[top : top+rowLen]
+		r1 := in.Data[top+rowLen : top+2*rowLen]
 		for ox := 0; ox < ow; ox++ {
-			for ch := 0; ch < c; ch++ {
-				bestIdx := ((2*oy)*w + 2*ox) * c
-				best := in.Data[bestIdx+ch]
-				bi := bestIdx + ch
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						idx := ((2*oy+dy)*w+(2*ox+dx))*c + ch
-						if in.Data[idx] > best {
-							best, bi = in.Data[idx], idx
-						}
-					}
+			o := (oy*ow + ox) * c
+			od, ad := out.Data[o:o+c], arg[o:o+c]
+			x := 2 * ox * c
+			p00, p01 := r0[x:x+c], r0[x+c:x+2*c]
+			p10, p11 := r1[x:x+c], r1[x+c:x+2*c]
+			p00, p01, p10, p11 = p00[:len(od)], p01[:len(od)], p10[:len(od)], p11[:len(od)]
+			ad = ad[:len(od)]
+			i00 := top + x
+			for ch := range od {
+				best, bi := p00[ch], i00+ch
+				if v := p01[ch]; v > best {
+					best, bi = v, i00+c+ch
 				}
-				o := (oy*ow+ox)*c + ch
-				out.Data[o] = best
-				arg[o] = int32(bi)
+				if v := p10[ch]; v > best {
+					best, bi = v, i00+rowLen+ch
+				}
+				if v := p11[ch]; v > best {
+					best, bi = v, i00+rowLen+c+ch
+				}
+				od[ch] = best
+				ad[ch] = int32(bi)
 			}
 		}
 	}
